@@ -1,16 +1,13 @@
 #include "src/baselines/gnn_models.h"
 
-#include <atomic>
 #include <cmath>
 #include <cstring>
-#include <mutex>
-#include <unordered_map>
-#include <unordered_set>
 #include <utility>
 
 #include "src/autograd/inference.h"
 #include "src/autograd/ops.h"
 #include "src/core/check.h"
+#include "src/core/thread_registry.h"
 #include "src/graph/graph.h"
 #include "src/graph/temporal_graph.h"
 #include "src/nn/init.h"
@@ -142,8 +139,8 @@ Variable Dcrnn::CellStep(const Variable& x_t, const Variable& h) const {
     // same SigmoidArray/TanhArray kernels and the same per-element
     // operation order as the taped ops below, minus the Slice / Concat /
     // Neg temporaries the tape materializes. Every serving-side caller
-    // (Forward under the engine's guard, StreamForecast, the batched
-    // carry) shares this path, so the cross-path equality contracts
+    // (Forward under the engine's guard, the warm carry and decoder)
+    // shares this path, so the cross-path equality contracts
     // (warm vs windowed, B = 1 batch vs sequential) are unaffected.
     const tensor::Tensor& xv = x_t.value();
     const tensor::Tensor& hv = h.value();
@@ -212,19 +209,19 @@ Variable Dcrnn::CellStep(const Variable& x_t, const Variable& h) const {
   return ag::Add(ag::Mul(z, h), ag::Mul(one_minus_z, c));
 }
 
-Variable Dcrnn::Forward(const tensor::Tensor& x, bool training) {
-  (void)training;
-  Variable input(x);
-  int64_t batch = x.size(0), n = task_.num_nodes;
-  Variable h(tensor::Tensor::Zeros({batch, n, hidden_dim_}));
+Variable Dcrnn::Encode(const Variable& input) const {
+  Variable h(
+      tensor::Tensor::Zeros({input.size(0), task_.num_nodes, hidden_dim_}));
   for (int64_t t = 0; t < task_.history; ++t) {
     h = CellStep(StepSlice(input, t), h);
   }
-  // Decoder: feed back own (scaled) predictions; extra input channels are 0.
-  Variable prev = ag::Reshape(
-      ag::Slice(StepSlice(input, task_.history - 1), 2, 0, 1),
-      {batch, n, 1});
-  Variable pad(tensor::Tensor::Zeros({batch, n, task_.input_dim - 1}));
+  return h;
+}
+
+Variable Dcrnn::Decode(Variable h, Variable prev) const {
+  // Feed back own (scaled) predictions; extra input channels are 0.
+  Variable pad(tensor::Tensor::Zeros(
+      {h.size(0), task_.num_nodes, task_.input_dim - 1}));
   std::vector<Variable> steps;
   for (int64_t t = 0; t < task_.horizon; ++t) {
     Variable x_t = ag::Concat({prev, pad}, 2);
@@ -232,9 +229,20 @@ Variable Dcrnn::Forward(const tensor::Tensor& x, bool training) {
     prev = readout_.Forward(h);  // (B, N, 1)
     steps.push_back(prev);
   }
-  Variable out = ag::Concat(steps, 2);            // (B, N, T')
+  Variable out = ag::Concat(steps, 2);  // (B, N, T')
   out = ag::TransposePerm(out, {0, 2, 1});
   return train::Descale(out, task_.scaler_mean, task_.scaler_std);
+}
+
+Variable Dcrnn::Forward(const tensor::Tensor& x, bool training) {
+  (void)training;
+  Variable input(x);
+  Variable h = Encode(input);
+  // Decoder seed: the flow channel of the newest window step.
+  Variable prev = ag::Reshape(
+      ag::Slice(StepSlice(input, task_.history - 1), 2, 0, 1),
+      {x.size(0), task_.num_nodes, 1});
+  return Decode(h, prev);
 }
 
 // Warm-state streaming: the carried state is exactly what Forward's
@@ -257,27 +265,6 @@ std::unique_ptr<train::StreamState> Dcrnn::MakeStreamState() const {
   return state;
 }
 
-void Dcrnn::StreamStep(train::StreamState* state,
-                       const tensor::Tensor& frame) const {
-  auto* s = static_cast<DcrnnStreamState*>(state);
-  const int64_t n = task_.num_nodes;
-  const int64_t f = task_.input_dim;
-  DYHSL_CHECK(frame.shape() == (tensor::Shape{n, f}));
-  autograd::InferenceModeGuard no_grad;
-  // Reshape shares the caller's storage (e.g. a ring frame) — CellStep
-  // only reads it, and shared storage disables the in-place fast paths.
-  Variable x_t(frame.Reshape({1, n, f}));
-  Variable h_new = CellStep(x_t, s->h);
-  s->h = Variable(HeapClone(h_new.value()));
-  // Decoder seed: the flow channel of the newest frame (what Forward
-  // slices from the last window step).
-  tensor::WorkspaceBypass bypass;
-  tensor::Tensor prev({1, n, 1});
-  for (int64_t i = 0; i < n; ++i) prev.data()[i] = frame.data()[i * f];
-  s->prev = Variable(std::move(prev));
-  s->ticks += 1;
-}
-
 void Dcrnn::ResyncState(train::StreamState* state,
                         const tensor::Tensor& window) const {
   auto* s = static_cast<DcrnnStreamState*>(state);
@@ -286,43 +273,15 @@ void Dcrnn::ResyncState(train::StreamState* state,
   const int64_t f = task_.input_dim;
   DYHSL_CHECK(window.shape() == (tensor::Shape{t_in, n, f}));
   autograd::InferenceModeGuard no_grad;
-  // Cold replay from zeros — bit-identical to Forward's encoder loop, so
-  // the next StreamForecast matches the windowed reference exactly.
-  Variable h(tensor::Tensor::Zeros({1, n, hidden_dim_}));
-  for (int64_t t = 0; t < t_in; ++t) {
-    Variable x_t(window.Alias(t * n * f, {1, n, f}));
-    h = CellStep(x_t, h);
-  }
+  // Forward's cold encoder replay, so the next decoder rollout matches
+  // the windowed reference exactly.
+  Variable h = Encode(Variable(window.Reshape({1, t_in, n, f})));
   s->h = Variable(HeapClone(h.value()));
   tensor::WorkspaceBypass bypass;
   tensor::Tensor prev({1, n, 1});
   const float* last = window.data() + (t_in - 1) * n * f;
   for (int64_t i = 0; i < n; ++i) prev.data()[i] = last[i * f];
   s->prev = Variable(std::move(prev));
-}
-
-tensor::Tensor Dcrnn::StreamForecast(const train::StreamState& state) const {
-  const auto& s = static_cast<const DcrnnStreamState&>(state);
-  DYHSL_CHECK(s.prev.value().defined());
-  const int64_t n = task_.num_nodes;
-  autograd::InferenceModeGuard no_grad;
-  // Forward's decoder, verbatim, from a private copy of the carried
-  // state — forecasting must not advance the session.
-  Variable h = s.h;
-  Variable prev = s.prev;
-  Variable pad(tensor::Tensor::Zeros({1, n, task_.input_dim - 1}));
-  std::vector<Variable> steps;
-  for (int64_t t = 0; t < task_.horizon; ++t) {
-    Variable x_t = ag::Concat({prev, pad}, 2);
-    h = CellStep(x_t, h);
-    prev = readout_.Forward(h);
-    steps.push_back(prev);
-  }
-  Variable out = ag::Concat(steps, 2);  // (1, N, T')
-  out = ag::TransposePerm(out, {0, 2, 1});
-  out = train::Descale(out, task_.scaler_mean, task_.scaler_std);
-  T::Tensor forecast = HeapClone(out.value());
-  return forecast.Reshape({task_.horizon, n});
 }
 
 void Dcrnn::AdvanceStateBatch(const std::vector<train::StreamState*>& states,
@@ -336,7 +295,7 @@ void Dcrnn::AdvanceStateBatch(const std::vector<train::StreamState*>& states,
   // Stack the carried hidden states into (B, N, H) and advance all B
   // sessions with one batched DCGRU step. CellStep runs each batch item
   // through the same row-wise accumulation order as at B = 1, so the
-  // unstacked states are bit-identical to B sequential StreamSteps.
+  // unstacked states are bit-identical to B one-session steps.
   const int64_t state_numel = n * hidden_dim_;
   T::Tensor h({b, n, hidden_dim_});
   for (int64_t i = 0; i < b; ++i) {
@@ -368,8 +327,8 @@ tensor::Tensor Dcrnn::ForecastFromStateBatch(
   const int64_t n = task_.num_nodes;
   autograd::InferenceModeGuard no_grad;
   // Forward's decoder over the stacked (B, N, H) states: one batched
-  // rollout instead of B sequential ones. Reads private copies, mutates
-  // no session state.
+  // rollout for every session. Reads private copies, mutates no session
+  // state.
   const int64_t state_numel = n * hidden_dim_;
   T::Tensor h0({b, n, hidden_dim_});
   T::Tensor prev0({b, n, 1});
@@ -381,19 +340,7 @@ tensor::Tensor Dcrnn::ForecastFromStateBatch(
     std::memcpy(prev0.data() + i * n, s->prev.value().data(),
                 static_cast<size_t>(n) * sizeof(float));
   }
-  Variable h(std::move(h0));
-  Variable prev(std::move(prev0));
-  Variable pad(tensor::Tensor::Zeros({b, n, task_.input_dim - 1}));
-  std::vector<Variable> steps;
-  for (int64_t t = 0; t < task_.horizon; ++t) {
-    Variable x_t = ag::Concat({prev, pad}, 2);
-    h = CellStep(x_t, h);
-    prev = readout_.Forward(h);
-    steps.push_back(prev);
-  }
-  Variable out = ag::Concat(steps, 2);  // (B, N, T')
-  out = ag::TransposePerm(out, {0, 2, 1});
-  out = train::Descale(out, task_.scaler_mean, task_.scaler_std);
+  Variable out = Decode(Variable(std::move(h0)), Variable(std::move(prev0)));
   return out.value();  // (B, T', N); caller copies out before any reset
 }
 
@@ -606,68 +553,10 @@ struct DhgnnStructure {
   T::TopKPatternCache::Stats stats;
 };
 
-// Same bounded-registry scheme as DhslBlock's pattern caches: the model
-// destructor retires its id and bumps a generation; each thread sweeps
-// retired entries out of its registry before the next lookup, so a
-// long-lived serving thread never accumulates structures for dead models.
-std::mutex& DhgnnLiveIdMutex() {
-  static std::mutex mu;
-  return mu;
-}
-
-std::unordered_set<uint64_t>& DhgnnLiveIds() {
-  // Leaked: serving threads may sweep during static destruction.
-  static auto* ids = new std::unordered_set<uint64_t>();
-  return *ids;
-}
-
-std::atomic<uint64_t>& DhgnnLiveGeneration() {
-  static std::atomic<uint64_t> gen{0};
-  return gen;
-}
-
-uint64_t NextDhgnnCacheId() {
-  static std::atomic<uint64_t> counter{0};
-  uint64_t id = counter.fetch_add(1, std::memory_order_relaxed) + 1;
-  std::lock_guard<std::mutex> lock(DhgnnLiveIdMutex());
-  DhgnnLiveIds().insert(id);
-  return id;
-}
-
-void RetireDhgnnCacheId(uint64_t id) {
-  std::lock_guard<std::mutex> lock(DhgnnLiveIdMutex());
-  DhgnnLiveIds().erase(id);
-  DhgnnLiveGeneration().fetch_add(1, std::memory_order_release);
-}
-
-struct DhgnnThreadRegistry {
-  std::unordered_map<uint64_t, DhgnnStructure> structures;
-  uint64_t seen_generation = 0;
-};
-
-DhgnnThreadRegistry& DhgnnRegistryForThread() {
-  thread_local DhgnnThreadRegistry registry;
-  return registry;
-}
-
-void DhgnnSweepDeadIds(DhgnnThreadRegistry& registry) {
-  const uint64_t gen =
-      DhgnnLiveGeneration().load(std::memory_order_acquire);
-  if (gen == registry.seen_generation) return;
-  std::lock_guard<std::mutex> lock(DhgnnLiveIdMutex());
-  for (auto it = registry.structures.begin();
-       it != registry.structures.end();) {
-    it = DhgnnLiveIds().count(it->first) ? std::next(it)
-                                         : registry.structures.erase(it);
-  }
-  registry.seen_generation = gen;
-}
-
-DhgnnStructure& DhgnnCacheForThread(uint64_t cache_id) {
-  DhgnnThreadRegistry& registry = DhgnnRegistryForThread();
-  DhgnnSweepDeadIds(registry);
-  return registry.structures[cache_id];
-}
+// Same bounded registry as DhslBlock's pattern caches: the model
+// destructor retires its id, so a long-lived serving thread never
+// accumulates structures for dead models.
+using StructureRegistry = core::ThreadLocalRegistry<DhgnnStructure>;
 
 // A node counts as drifted once its signature mean moved by more than
 // this relative tolerance — the per-row analogue of CountDriftedRows'
@@ -726,7 +615,7 @@ Dhgnn::Dhgnn(const train::ForecastTask& task, int64_t hidden_dim,
       knn_(knn),
       structure_reuse_(structure_reuse),
       structure_drift_threshold_(structure_drift_threshold),
-      cache_id_(NextDhgnnCacheId()),
+      cache_id_(StructureRegistry::Instance().Register()),
       encoder_(task.input_dim, hidden_dim, &rng_),
       hconv1_(hidden_dim, hidden_dim, &rng_),
       hconv2_(hidden_dim, hidden_dim, &rng_),
@@ -740,19 +629,17 @@ Dhgnn::Dhgnn(const train::ForecastTask& task, int64_t hidden_dim,
 }
 
 int64_t ThreadStructureRegistrySizeForTesting() {
-  DhgnnThreadRegistry& registry = DhgnnRegistryForThread();
-  DhgnnSweepDeadIds(registry);
-  return static_cast<int64_t>(registry.structures.size());
+  return StructureRegistry::Instance().SizeForThread();
 }
 
-Dhgnn::~Dhgnn() { RetireDhgnnCacheId(cache_id_); }
+Dhgnn::~Dhgnn() { StructureRegistry::Instance().Retire(cache_id_); }
 
 tensor::TopKPatternCache::Stats Dhgnn::StructureCacheStats() const {
-  return DhgnnCacheForThread(cache_id_).stats;
+  return StructureRegistry::Instance().ForThread(cache_id_).stats;
 }
 
 void Dhgnn::ClearStructureCache() const {
-  DhgnnStructure& cache = DhgnnCacheForThread(cache_id_);
+  DhgnnStructure& cache = StructureRegistry::Instance().ForThread(cache_id_);
   const T::TopKPatternCache::Stats stats = cache.stats;
   cache = DhgnnStructure();
   cache.stats = stats;  // Clear drops the structure, not the counters
@@ -780,7 +667,7 @@ Variable Dhgnn::Forward(const tensor::Tensor& x, bool training) {
     // it. Identical windows drift zero nodes, so reuse is exact there;
     // a sliding window pays the O(N T) mean check instead of the
     // k-means + kNN rebuild until the flow regime actually moves.
-    DhgnnStructure& cache = DhgnnCacheForThread(cache_id_);
+    DhgnnStructure& cache = StructureRegistry::Instance().ForThread(cache_id_);
     std::vector<float> means = SignatureMeans(signatures);
     bool rebuild = true;
     if (!cache.valid) {

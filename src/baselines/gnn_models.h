@@ -75,10 +75,12 @@ class Stgcn : public GnnModelBase {
 /// K-step bidirectional diffusion convolutions; encoder-decoder rollout.
 ///
 /// Also the repository's reference RecurrentStreamModel: the encoder
-/// state is carried across ticks (StreamStep == one CellStep,
-/// bit-identical to Forward's encoder loop at B = 1), so a streaming
+/// state is carried across ticks (AdvanceStateBatch == one CellStep per
+/// session, bit-identical to Forward's encoder loop), so a streaming
 /// session serves a forecast with only the T'-step decoder
-/// (StreamForecast) instead of re-encoding the full window.
+/// (ForecastFromStateBatch) instead of re-encoding the full window.
+/// Forward, ResyncState and ForecastFromStateBatch share one encoder
+/// replay and one decoder rollout.
 class Dcrnn : public GnnModelBase, public train::RecurrentStreamModel {
  public:
   Dcrnn(const train::ForecastTask& task, int64_t hidden_dim,
@@ -87,18 +89,15 @@ class Dcrnn : public GnnModelBase, public train::RecurrentStreamModel {
   std::string name() const override { return "DCRNN"; }
 
   /// \name Warm-state streaming (src/train/streaming.h)
+  ///
+  /// The stacked forms run one cell step (one decoder rollout) over the
+  /// (B, N, H) stack of per-session hidden states. CellStep processes
+  /// each batch item with the same accumulation order as at B = 1, so
+  /// per-session results do not depend on B.
   /// @{
   std::unique_ptr<train::StreamState> MakeStreamState() const override;
-  void StreamStep(train::StreamState* state,
-                  const tensor::Tensor& frame) const override;
   void ResyncState(train::StreamState* state,
                    const tensor::Tensor& window) const override;
-  tensor::Tensor StreamForecast(const train::StreamState& state) const override;
-  /// Batched carry: stacks B per-session hidden states into (B, N, H)
-  /// and runs one batched cell step (one decoder rollout) instead of B
-  /// sequential ones. CellStep processes each batch item with the same
-  /// accumulation order as at B = 1, so per-session results match the
-  /// sequential methods bit-identically.
   void AdvanceStateBatch(const std::vector<train::StreamState*>& states,
                          const tensor::Tensor& frames) const override;
   tensor::Tensor ForecastFromStateBatch(
@@ -109,6 +108,12 @@ class Dcrnn : public GnnModelBase, public train::RecurrentStreamModel {
   struct DcrnnStreamState;
 
   Variable CellStep(const Variable& x_t, const Variable& h) const;
+  /// Cold encoder replay of (B, T, N, F) windows from a zero state:
+  /// the (B, N, H) hidden state after T cell steps.
+  Variable Encode(const Variable& input) const;
+  /// Decoder rollout from hidden state `h` (B, N, H) and decoder seed
+  /// `prev` (B, N, 1): the descaled raw-flow forecast (B, T', N).
+  Variable Decode(Variable h, Variable prev) const;
 
   int64_t hidden_dim_;
   autograd::SparseConstant fw_;

@@ -1,6 +1,7 @@
 #include "src/graph/shard.h"
 
 #include <algorithm>
+#include <cstring>
 
 #include "src/core/check.h"
 
@@ -83,6 +84,20 @@ int64_t ShardPlan::OwnerOf(int64_t global_node) const {
       shards_.begin(), shards_.end(), global_node,
       [](int64_t node, const ShardSpec& shard) { return node < shard.end; });
   return it->shard_id;
+}
+
+void StitchOwned(const ShardSpec& shard, const tensor::Tensor& local,
+                 tensor::Tensor* global) {
+  const int64_t steps = global->size(0);
+  const int64_t n = global->size(1);
+  DYHSL_CHECK_EQ(local.size(0), steps);
+  DYHSL_CHECK_EQ(local.size(1), shard.num_local());
+  DYHSL_CHECK_LE(shard.end, n);
+  for (int64_t t = 0; t < steps; ++t) {
+    std::memcpy(global->data() + t * n + shard.begin,
+                local.data() + t * shard.num_local() + shard.owned_offset,
+                static_cast<size_t>(shard.owned_count()) * sizeof(float));
+  }
 }
 
 tensor::CsrMatrix InducedSubgraph(const tensor::CsrMatrix& adjacency,

@@ -86,6 +86,14 @@ class ShardPlan {
   std::vector<ShardSpec> shards_;
 };
 
+/// \brief The stitch step of sharded serving: copies the owned columns of
+/// a shard-local forecast `local` (T', num_local) into their global
+/// columns of `global` (T', N), dropping the halo columns. The owned
+/// block is contiguous in local id order, so this is one contiguous copy
+/// per step.
+void StitchOwned(const ShardSpec& shard, const tensor::Tensor& local,
+                 tensor::Tensor* global);
+
 /// \brief Induced subgraph of `adjacency` over the shard's local nodes:
 /// keeps every edge whose endpoints are both local, with node ids remapped
 /// to the shard-local convention. Nodes that lose all their edges to the

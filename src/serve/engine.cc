@@ -27,6 +27,20 @@ double MicrosSince(Clock::time_point start, Clock::time_point now) {
 // single spike barely moves the target.
 constexpr double kDepthEwmaWeight = 0.25;
 
+// A B = 1 batch response as the single-item response: (1, T', N) ->
+// (T', N), a view of the heap-backed batch storage.
+ForecastResponse Single(BatchForecastResponse batch) {
+  ForecastResponse response;
+  response.status = std::move(batch.status);
+  if (response.status.ok()) {
+    response.forecast = batch.forecasts.Reshape(
+        {batch.forecasts.size(1), batch.forecasts.size(2)});
+  }
+  response.batch_size = batch.batch_size;
+  response.compute_micros = batch.compute_micros;
+  return response;
+}
+
 }  // namespace
 
 ModelFactory DyHslFactory(const models::DyHslConfig& config) {
@@ -268,71 +282,63 @@ void ForecastEngine::SamplePatternStats() {
   pattern_by_thread_[std::this_thread::get_id()] = sample;
 }
 
-ForecastResponse ForecastEngine::ForecastNow(const tensor::Tensor& window) {
-  ForecastResponse response;
-  const tensor::Shape expected = {task_.history, task_.num_nodes,
-                                  task_.input_dim};
-  if (!window.defined() || window.shape() != expected) {
-    response.status = Status::InvalidArgument(
-        "stream window shape " +
-        (window.defined() ? tensor::ShapeToString(window.shape())
-                          : std::string("<undefined>")) +
-        " != expected " + tensor::ShapeToString(expected));
-    return response;
-  }
+Status ForecastEngine::RunGradFree(const std::function<void()>& body) {
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (stopping_) {
-      response.status = Status::InvalidArgument("ForecastEngine is shut down");
-      return response;
-    }
+    if (stopping_) return Status::InvalidArgument("ForecastEngine is shut down");
   }
-  const Clock::time_point started = Clock::now();
   const tensor::PrepackCache::Stats pp_before =
       tensor::PrepackCache::ThreadCounters();
-  // Same team size as the worker loop: GEMM is bit-deterministic per
-  // thread count, so the fast path reproduces the queue path exactly.
-  core::TeamScope team(worker_team_);
-  autograd::InferenceModeGuard no_grad;
-  tensor::PrepackLookupScope prepack;
-  // One warm arena per calling thread — session threads get the same
-  // allocation-free steady state as engine workers.
+  // One warm arena per calling thread, shared by every synchronous entry
+  // point: session threads get the same allocation-free steady state as
+  // engine workers.
   thread_local tensor::Workspace workspace;
   {
+    // Same team size as the worker loop: GEMM is bit-deterministic per
+    // thread count, so the synchronous calls reproduce the queue path
+    // exactly.
+    core::TeamScope team(worker_team_);
+    autograd::InferenceModeGuard no_grad;
+    tensor::PrepackLookupScope prepack;
     tensor::WorkspaceScope scope(&workspace);
-    // Reshape shares the window's storage (it may be a live ring view) —
-    // the forward only reads it.
-    autograd::Variable pred =
-        model_->Forward(window.Reshape({1, expected[0], expected[1],
-                                        expected[2]}),
-                        /*training=*/false);
-    const tensor::Tensor& p = pred.value();  // (1, T', N)
-    {
-      tensor::WorkspaceBypass bypass;
-      response.forecast = tensor::Tensor({p.size(1), p.size(2)});
-    }
-    std::memcpy(response.forecast.data(), p.data(),
-                static_cast<size_t>(p.numel()) * sizeof(float));
+    body();
   }
   workspace.Reset();
-  response.batch_size = 1;
-  response.compute_micros = MicrosSince(started, Clock::now());
   SamplePatternStats();
   AccumulatePrepackDelta(pp_before);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stats_.requests += 1;
-    stats_.streamed += 1;
-  }
+  return Status::OK();
+}
+
+BatchForecastResponse ForecastEngine::ServeSync(
+    int64_t b, const std::function<tensor::Tensor()>& forward) {
+  BatchForecastResponse response;
+  const Clock::time_point started = Clock::now();
+  response.status = RunGradFree([&] {
+    const tensor::Tensor p = forward();  // (B, T', N), arena-backed
+    DYHSL_CHECK_EQ(p.size(0), b);
+    {
+      // Responses outlive the arena reset: keep them on the heap.
+      tensor::WorkspaceBypass bypass;
+      response.forecasts = tensor::Tensor(p.shape());
+    }
+    std::memcpy(response.forecasts.data(), p.data(),
+                static_cast<size_t>(p.numel()) * sizeof(float));
+  });
+  if (!response.status.ok()) return response;
+  response.batch_size = b;
+  response.compute_micros = MicrosSince(started, Clock::now());
+  std::lock_guard<std::mutex> lock(mu_);
+  stats_.requests += b;
+  stats_.streamed += b;
   return response;
 }
 
-BatchForecastResponse ForecastEngine::SubmitBatch(
+BatchForecastResponse ForecastEngine::ForwardWindows(
     const tensor::Tensor& windows) {
-  BatchForecastResponse response;
   if (!windows.defined() || windows.dim() != 4 || windows.size(0) < 1 ||
       windows.size(1) != task_.history || windows.size(2) != task_.num_nodes ||
       windows.size(3) != task_.input_dim) {
+    BatchForecastResponse response;
     response.status = Status::InvalidArgument(
         "batch windows shape " +
         (windows.defined() ? tensor::ShapeToString(windows.shape())
@@ -342,49 +348,56 @@ BatchForecastResponse ForecastEngine::SubmitBatch(
         std::to_string(task_.input_dim) + ")");
     return response;
   }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (stopping_) {
-      response.status = Status::InvalidArgument("ForecastEngine is shut down");
-      return response;
-    }
+  // The batch is already packed (possibly sharing ring storage at B = 1):
+  // one forward, no queue, no per-request repacking.
+  return ServeSync(windows.size(0), [&] {
+    return model_->Forward(windows, /*training=*/false).value();
+  });
+}
+
+BatchForecastResponse ForecastEngine::DecodeStates(
+    const std::vector<const train::StreamState*>& states) {
+  DYHSL_CHECK(streaming_ != nullptr);
+  if (states.empty()) {
+    BatchForecastResponse response;
+    response.status = Status::InvalidArgument("empty stream-state batch");
+    return response;
   }
-  const int64_t b = windows.size(0);
-  const Clock::time_point started = Clock::now();
-  const tensor::PrepackCache::Stats pp_before =
-      tensor::PrepackCache::ThreadCounters();
-  core::TeamScope team(worker_team_);
-  autograd::InferenceModeGuard no_grad;
-  tensor::PrepackLookupScope prepack;
-  thread_local tensor::Workspace workspace;
-  {
-    tensor::WorkspaceScope scope(&workspace);
-    // The batch is already packed (possibly sharing ring storage at
-    // B = 1) — one forward, no queue, no per-request repacking.
-    autograd::Variable pred = model_->Forward(windows, /*training=*/false);
-    const tensor::Tensor& p = pred.value();  // (B, T', N)
-    DYHSL_CHECK_EQ(p.size(0), b);
-    {
-      tensor::WorkspaceBypass bypass;
-      response.forecasts = tensor::Tensor(p.shape());
-    }
-    std::memcpy(response.forecasts.data(), p.data(),
-                static_cast<size_t>(p.numel()) * sizeof(float));
-  }
-  workspace.Reset();
-  response.batch_size = b;
-  response.compute_micros = MicrosSince(started, Clock::now());
-  SamplePatternStats();
-  AccumulatePrepackDelta(pp_before);
-  {
+  return ServeSync(static_cast<int64_t>(states.size()), [&] {
+    return streaming_->ForecastFromStateBatch(states);
+  });
+}
+
+BatchForecastResponse ForecastEngine::CountBatched(
+    BatchForecastResponse response) {
+  if (response.status.ok()) {
     std::lock_guard<std::mutex> lock(mu_);
-    stats_.requests += b;
-    stats_.streamed += b;
     stats_.batched_submits += 1;
-    stats_.batched_requests += b;
-    stats_.batched_max = std::max(stats_.batched_max, b);
+    stats_.batched_requests += response.batch_size;
+    stats_.batched_max = std::max(stats_.batched_max, response.batch_size);
   }
   return response;
+}
+
+ForecastResponse ForecastEngine::ForecastNow(const tensor::Tensor& window) {
+  if (!window.defined() || window.dim() != 3) {
+    ForecastResponse response;
+    response.status = Status::InvalidArgument(
+        "stream window shape " +
+        (window.defined() ? tensor::ShapeToString(window.shape())
+                          : std::string("<undefined>")) +
+        " is not (T, N, F)");
+    return response;
+  }
+  // Reshape shares the window's storage (it may be a live ring view) —
+  // the forward only reads it.
+  return Single(ForwardWindows(
+      window.Reshape({1, window.size(0), window.size(1), window.size(2)})));
+}
+
+BatchForecastResponse ForecastEngine::SubmitBatch(
+    const tensor::Tensor& windows) {
+  return CountBatched(ForwardWindows(windows));
 }
 
 std::unique_ptr<train::StreamState> ForecastEngine::NewStreamState() const {
@@ -394,138 +407,33 @@ std::unique_ptr<train::StreamState> ForecastEngine::NewStreamState() const {
 
 void ForecastEngine::AdvanceState(train::StreamState* state,
                                   const tensor::Tensor& frame) {
-  DYHSL_CHECK(streaming_ != nullptr);
-  const tensor::PrepackCache::Stats pp_before =
-      tensor::PrepackCache::ThreadCounters();
-  core::TeamScope team(worker_team_);
-  tensor::PrepackLookupScope prepack;
-  thread_local tensor::Workspace workspace;
-  {
-    tensor::WorkspaceScope scope(&workspace);
-    streaming_->StreamStep(state, frame);
-  }
-  workspace.Reset();
-  AccumulatePrepackDelta(pp_before);
+  AdvanceStateBatch({state},
+                    frame.Reshape({1, task_.num_nodes, task_.input_dim}));
 }
 
 void ForecastEngine::ResyncState(train::StreamState* state,
                                  const tensor::Tensor& window) {
   DYHSL_CHECK(streaming_ != nullptr);
-  const tensor::PrepackCache::Stats pp_before =
-      tensor::PrepackCache::ThreadCounters();
-  core::TeamScope team(worker_team_);
-  tensor::PrepackLookupScope prepack;
-  thread_local tensor::Workspace workspace;
-  {
-    tensor::WorkspaceScope scope(&workspace);
-    streaming_->ResyncState(state, window);
-  }
-  workspace.Reset();
-  AccumulatePrepackDelta(pp_before);
+  // A shut-down engine leaves the state as it was: it serves no forecast
+  // from it anyway.
+  (void)RunGradFree([&] { streaming_->ResyncState(state, window); });
 }
 
 ForecastResponse ForecastEngine::ForecastFromState(
     const train::StreamState& state) {
-  DYHSL_CHECK(streaming_ != nullptr);
-  ForecastResponse response;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (stopping_) {
-      response.status = Status::InvalidArgument("ForecastEngine is shut down");
-      return response;
-    }
-  }
-  const Clock::time_point started = Clock::now();
-  const tensor::PrepackCache::Stats pp_before =
-      tensor::PrepackCache::ThreadCounters();
-  core::TeamScope team(worker_team_);
-  tensor::PrepackLookupScope prepack;
-  thread_local tensor::Workspace workspace;
-  {
-    tensor::WorkspaceScope scope(&workspace);
-    // StreamForecast heap-pins its result, so it survives the Reset.
-    response.forecast = streaming_->StreamForecast(state);
-  }
-  workspace.Reset();
-  response.batch_size = 1;
-  response.compute_micros = MicrosSince(started, Clock::now());
-  SamplePatternStats();
-  AccumulatePrepackDelta(pp_before);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stats_.requests += 1;
-    stats_.streamed += 1;
-  }
-  return response;
+  return Single(DecodeStates({&state}));
 }
 
 void ForecastEngine::AdvanceStateBatch(
     const std::vector<train::StreamState*>& states,
     const tensor::Tensor& frames) {
   DYHSL_CHECK(streaming_ != nullptr);
-  if (states.empty()) return;
-  const tensor::PrepackCache::Stats pp_before =
-      tensor::PrepackCache::ThreadCounters();
-  core::TeamScope team(worker_team_);
-  tensor::PrepackLookupScope prepack;
-  thread_local tensor::Workspace workspace;
-  {
-    tensor::WorkspaceScope scope(&workspace);
-    streaming_->AdvanceStateBatch(states, frames);
-  }
-  workspace.Reset();
-  AccumulatePrepackDelta(pp_before);
+  (void)RunGradFree([&] { streaming_->AdvanceStateBatch(states, frames); });
 }
 
 BatchForecastResponse ForecastEngine::ForecastFromStateBatch(
     const std::vector<const train::StreamState*>& states) {
-  DYHSL_CHECK(streaming_ != nullptr);
-  BatchForecastResponse response;
-  if (states.empty()) {
-    response.status = Status::InvalidArgument("empty stream-state batch");
-    return response;
-  }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (stopping_) {
-      response.status = Status::InvalidArgument("ForecastEngine is shut down");
-      return response;
-    }
-  }
-  const int64_t b = static_cast<int64_t>(states.size());
-  const Clock::time_point started = Clock::now();
-  const tensor::PrepackCache::Stats pp_before =
-      tensor::PrepackCache::ThreadCounters();
-  core::TeamScope team(worker_team_);
-  tensor::PrepackLookupScope prepack;
-  thread_local tensor::Workspace workspace;
-  {
-    tensor::WorkspaceScope scope(&workspace);
-    // One stacked decoder rollout; the model's result lives in the
-    // arena, so copy it into the heap-backed response before the reset.
-    tensor::Tensor stacked = streaming_->ForecastFromStateBatch(states);
-    DYHSL_CHECK_EQ(stacked.size(0), b);
-    {
-      tensor::WorkspaceBypass bypass;
-      response.forecasts = tensor::Tensor(stacked.shape());
-    }
-    std::memcpy(response.forecasts.data(), stacked.data(),
-                static_cast<size_t>(stacked.numel()) * sizeof(float));
-  }
-  workspace.Reset();
-  response.batch_size = b;
-  response.compute_micros = MicrosSince(started, Clock::now());
-  SamplePatternStats();
-  AccumulatePrepackDelta(pp_before);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stats_.requests += b;
-    stats_.streamed += b;
-    stats_.batched_submits += 1;
-    stats_.batched_requests += b;
-    stats_.batched_max = std::max(stats_.batched_max, b);
-  }
-  return response;
+  return CountBatched(DecodeStates(states));
 }
 
 void ForecastEngine::WorkerLoop() {

@@ -158,11 +158,12 @@ struct EngineStats {
   int64_t effective_max_batch = 0;
   /// Requests waiting at snapshot time (not monotonic).
   int64_t queue_depth = 0;
-  /// Requests served through the synchronous streaming fast paths
-  /// (ForecastNow / ForecastFromState), counted in `requests` too.
+  /// Requests served through the synchronous calls (ForecastNow,
+  /// SubmitBatch and the warm forecasts), counted in `requests` too.
   int64_t streamed = 0;
-  /// Pre-packed batch fast-path calls (SubmitBatch and the batched warm
-  /// forecasts), the requests they carried (counted in `requests` and
+  /// Pre-packed batch calls (SubmitBatch and ForecastFromStateBatch;
+  /// their B = 1 forms ForecastNow / ForecastFromState do not count
+  /// here), the requests they carried (counted in `requests` and
   /// `streamed` too), and the largest such batch observed.
   int64_t batched_submits = 0;
   int64_t batched_requests = 0;
@@ -214,12 +215,13 @@ class ForecastEngine {
   /// an engine shutting down, never with a broken promise.
   std::future<ForecastResponse> Submit(ForecastRequest request);
 
-  /// \brief Synchronous streaming fast path: one grad-free forward over
-  /// `window` (T, N, F) on the *calling* thread, skipping the queue and
-  /// micro-batch delay entirely. The window may be (and in the session
-  /// path is) a zero-copy ring view — it is only read. Kernels run under
-  /// the same worker team size as the queue path, so the result is
-  /// bit-identical to a Submit of the same window at batch 1.
+  /// \brief Synchronous single-window call: SubmitBatch's forward over
+  /// `window` (T, N, F) as a batch of one, on the *calling* thread,
+  /// skipping the queue and micro-batch delay entirely. The window may be
+  /// (and in the session path is) a zero-copy ring view — it is only
+  /// read. Kernels run under the same worker team size as the queue path,
+  /// so the result is bit-identical to a Submit of the same window at
+  /// batch 1. Counts in `requests` and `streamed`, never in `batched_*`.
   /// Thread-safe and usable concurrently with Submit.
   ForecastResponse ForecastNow(const tensor::Tensor& window);
 
@@ -237,20 +239,21 @@ class ForecastEngine {
   /// \name Warm recurrent-state serving
   ///
   /// Available when the model implements train::RecurrentStreamModel
-  /// (supports_streaming()); the non-Forecast calls abort otherwise.
-  /// All run on the calling thread under the engine's worker team size —
-  /// a ResyncState followed by ForecastFromState is bit-identical to
-  /// ForecastNow over the same window.
+  /// (supports_streaming()); the calls abort otherwise. All run on the
+  /// calling thread under the engine's worker team size — a ResyncState
+  /// followed by ForecastFromState is bit-identical to ForecastNow over
+  /// the same window. The batched forms step / decode B sessions ready at
+  /// the same tick at once; `frames` is the (B, N, F) stack pairing
+  /// frames[i] with states[i]. AdvanceState and ForecastFromState are
+  /// their B = 1 calls (ForecastFromState counts like ForecastNow, never
+  /// in `batched_*`). After Shutdown the forecasts fail and the state
+  /// calls leave the state untouched.
   /// @{
   bool supports_streaming() const { return streaming_ != nullptr; }
   std::unique_ptr<train::StreamState> NewStreamState() const;
   void AdvanceState(train::StreamState* state, const tensor::Tensor& frame);
   void ResyncState(train::StreamState* state, const tensor::Tensor& window);
   ForecastResponse ForecastFromState(const train::StreamState& state);
-  /// Batched warm carry: one stacked cell step / decoder rollout for B
-  /// sessions ready at the same tick (train::RecurrentStreamModel's
-  /// batched methods, run under the engine team with a warm arena).
-  /// `frames` is the (B, N, F) stack pairing frames[i] with states[i].
   void AdvanceStateBatch(const std::vector<train::StreamState*>& states,
                          const tensor::Tensor& frames);
   BatchForecastResponse ForecastFromStateBatch(
@@ -297,6 +300,24 @@ class ForecastEngine {
   void WorkerLoop();
   /// Runs one packed grad-free forward and fulfills every promise.
   void ServeBatch(std::vector<Pending>* batch);
+  /// Runs `body` as one synchronous grad-free serving call on the calling
+  /// thread: refused after Shutdown, otherwise under the worker team
+  /// size, tape-less, with prepacked weights and the calling thread's
+  /// warm arena (reset afterwards), then publishes the structure-cache
+  /// and prepack counters. Every synchronous entry point runs through it.
+  Status RunGradFree(const std::function<void()>& body);
+  /// The shared forecast core: runs `forward` (returning the arena-backed
+  /// (B, T', N) stack) through RunGradFree, copies the stack into a
+  /// heap-backed response and counts B `requests` and `streamed`, never
+  /// `batched_*` (the public batched calls add those via CountBatched).
+  BatchForecastResponse ServeSync(
+      int64_t b, const std::function<tensor::Tensor()>& forward);
+  /// ServeSync over shape-checked (B, T, N, F) windows / carried states.
+  BatchForecastResponse ForwardWindows(const tensor::Tensor& windows);
+  BatchForecastResponse DecodeStates(
+      const std::vector<const train::StreamState*>& states);
+  /// Records a served batch in the `batched_*` counters.
+  BatchForecastResponse CountBatched(BatchForecastResponse response);
   /// Publishes the calling thread's structure-cache counters (thread-
   /// local caches) into pattern_by_thread_ so Snapshot() can sum them.
   void SamplePatternStats();

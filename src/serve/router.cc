@@ -389,19 +389,8 @@ void ForecastRouter::Stitch(StitchJob* job) {
       job->promise.set_value(std::move(failed));
       return;
     }
-    const graph::ShardSpec& shard = entry.shards[s];
-    const tensor::Tensor& f = shard_response.forecast;  // (T', local)
-    DYHSL_CHECK_EQ(f.size(0), entry.horizon);
-    DYHSL_CHECK_EQ(f.size(1), shard.num_local());
-    const int64_t owned = shard.owned_count();
-    // The owned block is contiguous inside the local id space, so
-    // dropping halo columns and scattering back to global order is one
-    // contiguous copy per step.
-    for (int64_t t = 0; t < entry.horizon; ++t) {
-      std::memcpy(out.forecast.data() + t * entry.num_nodes + shard.begin,
-                  f.data() + t * shard.num_local() + shard.owned_offset,
-                  static_cast<size_t>(owned) * sizeof(float));
-    }
+    graph::StitchOwned(entry.shards[s], shard_response.forecast,
+                       &out.forecast);
     // The request's critical path: the slowest shard on every axis.
     out.batch_size = std::max(out.batch_size, shard_response.batch_size);
     out.queue_micros = std::max(out.queue_micros, shard_response.queue_micros);

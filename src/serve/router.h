@@ -85,7 +85,7 @@ class ScratchPool {
 /// \brief Routing metadata for one registered model, resolved once per
 /// streaming session instead of per request: engine pointers and shard
 /// specs so a SessionManager can split ticks by shard range at Append
-/// time and hit the engines' synchronous fast paths at Forecast time.
+/// time and call the engines' synchronous batch calls at Forecast time.
 /// Pointers stay valid until ForecastRouter::Shutdown (entries are
 /// immutable after registration and map nodes are stable).
 struct StreamRoute {

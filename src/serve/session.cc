@@ -20,6 +20,19 @@ int64_t NowNs() {
       .count();
 }
 
+// A single-item engine response as a batch of one (a view, no copy).
+BatchForecastResponse AsBatch(ForecastResponse response) {
+  BatchForecastResponse batch;
+  batch.status = std::move(response.status);
+  if (batch.status.ok()) {
+    batch.forecasts = response.forecast.Reshape(
+        {1, response.forecast.size(0), response.forecast.size(1)});
+  }
+  batch.batch_size = response.batch_size;
+  batch.compute_micros = response.compute_micros;
+  return batch;
+}
+
 }  // namespace
 
 /// One open session. `mu` serializes Append against Forecast (a Push
@@ -90,21 +103,26 @@ std::shared_ptr<SessionManager::Session> SessionManager::Find(
   return session;
 }
 
+int64_t SessionManager::EvictExpiredLocked() {
+  if (options_.ttl_ms <= 0) return 0;
+  const int64_t cutoff = NowNs() - options_.ttl_ms * 1'000'000;
+  int64_t evicted = 0;
+  for (auto it = sessions_.begin(); it != sessions_.end();) {
+    if (it->second->last_touch_ns.load(std::memory_order_relaxed) < cutoff) {
+      it = sessions_.erase(it);
+      evicted += 1;
+    } else {
+      ++it;
+    }
+  }
+  evicted_ttl_.fetch_add(evicted, std::memory_order_relaxed);
+  return evicted;
+}
+
 void SessionManager::EvictLocked() {
   // TTL first: an expired session should not survive just because it is
   // also the LRU candidate someone else would have paid for.
-  if (options_.ttl_ms > 0) {
-    const int64_t cutoff = NowNs() - options_.ttl_ms * 1'000'000;
-    for (auto it = sessions_.begin(); it != sessions_.end();) {
-      if (it->second->last_touch_ns.load(std::memory_order_relaxed) <
-          cutoff) {
-        it = sessions_.erase(it);
-        evicted_ttl_.fetch_add(1, std::memory_order_relaxed);
-      } else {
-        ++it;
-      }
-    }
-  }
+  EvictExpiredLocked();
   while (options_.max_sessions > 0 &&
          static_cast<int64_t>(sessions_.size()) >= options_.max_sessions) {
     auto victim = sessions_.begin();
@@ -205,31 +223,7 @@ Status SessionManager::Open(const std::string& session_id,
 
 Status SessionManager::Append(const std::string& session_id, int64_t tick,
                               const tensor::Tensor& raw_flow) {
-  std::shared_ptr<Session> s = Find(session_id);
-  if (s == nullptr) {
-    return Status::NotFound("no open session '" + session_id + "'");
-  }
-  std::lock_guard<std::mutex> lock(s->mu);
-  Status ingested = IngestFrameLocked(s.get(), tick, raw_flow);
-  if (!ingested.ok()) return ingested;
-
-  if (s->options.warm_state) {
-    // One encoder cell step per tick — the whole point of the warm path:
-    // Forecast later runs only the decoder. A tick whose resync cadence
-    // fires skips the step: the ring rebuild overwrites the carried
-    // state completely, so advance-then-resync and resync-alone land on
-    // the same state (and AppendMany masks resync members the same way).
-    const StreamRoute& route = s->route;
-    if (!MaybeResyncLocked(s.get())) {
-      for (size_t k = 0; k < route.engines.size(); ++k) {
-        const tensor::Tensor& frame =
-            route.sharded ? s->shard_frames[k] : s->staging;
-        route.engines[k]->AdvanceState(s->states[k].get(), frame);
-      }
-      s->since_resync += 1;
-    }
-  }
-  return Status::OK();
+  return std::move(AppendMany({session_id}, tick, {raw_flow})[0]);
 }
 
 Status SessionManager::IngestFrameLocked(Session* s, int64_t tick,
@@ -416,64 +410,8 @@ std::vector<Status> SessionManager::AppendMany(
 }
 
 ForecastResponse SessionManager::Forecast(const std::string& session_id) {
-  ForecastResponse out;
-  std::shared_ptr<Session> s = Find(session_id);
-  if (s == nullptr) {
-    out.status = Status::NotFound("no open session '" + session_id + "'");
-    return out;
-  }
-  std::lock_guard<std::mutex> lock(s->mu);
-  const StreamRoute& route = s->route;
-  if (!s->rings[0].full()) {
-    out.status = Status::Unavailable(
-        "session has " + std::to_string(s->rings[0].count()) + " of " +
-        std::to_string(route.history) + " ticks buffered");
-    return out;
-  }
-
-  const bool warm = s->options.warm_state;
-  if (!route.sharded) {
-    out = warm ? route.engines[0]->ForecastFromState(*s->states[0])
-               : route.engines[0]->ForecastNow(s->rings[0].Window());
-  } else {
-    // Stitch shard forecasts exactly like the router: the owned block is
-    // contiguous in local id order, so dropping halos is one contiguous
-    // copy per horizon step. Shards run sequentially on the calling
-    // thread (the session fast path is a latency path, not a throughput
-    // path), so compute_micros sums over shards.
-    {
-      tensor::WorkspaceBypass bypass;
-      out.forecast = tensor::Tensor({route.horizon, route.num_nodes});
-    }
-    out.batch_size = 1;
-    for (size_t k = 0; k < route.engines.size(); ++k) {
-      ForecastResponse shard_response =
-          warm ? route.engines[k]->ForecastFromState(*s->states[k])
-               : route.engines[k]->ForecastNow(s->rings[k].Window());
-      if (!shard_response.status.ok()) {
-        ForecastResponse failed;
-        failed.status = std::move(shard_response.status);
-        return failed;
-      }
-      const graph::ShardSpec& shard = (*route.shards)[k];
-      const tensor::Tensor& fc = shard_response.forecast;  // (T', local)
-      DYHSL_CHECK_EQ(fc.size(0), route.horizon);
-      DYHSL_CHECK_EQ(fc.size(1), shard.num_local());
-      const int64_t owned = shard.owned_count();
-      for (int64_t t = 0; t < route.horizon; ++t) {
-        std::memcpy(
-            out.forecast.data() + t * route.num_nodes + shard.begin,
-            fc.data() + t * shard.num_local() + shard.owned_offset,
-            static_cast<size_t>(owned) * sizeof(float));
-      }
-      out.compute_micros += shard_response.compute_micros;
-    }
-  }
-  if (out.status.ok()) {
-    s->forecasts += 1;
-    forecasts_.fetch_add(1, std::memory_order_relaxed);
-  }
-  return out;
+  return std::move(ForecastPinned({session_id}, {Find(session_id)},
+                                  /*count_batches=*/false)[0]);
 }
 
 std::vector<ForecastResponse> SessionManager::ForecastBatch(
@@ -482,7 +420,7 @@ std::vector<ForecastResponse> SessionManager::ForecastBatch(
   for (size_t i = 0; i < session_ids.size(); ++i) {
     pinned[i] = Find(session_ids[i]);
   }
-  return ForecastPinned(session_ids, pinned);
+  return ForecastPinned(session_ids, pinned, /*count_batches=*/true);
 }
 
 std::vector<std::pair<std::string, ForecastResponse>>
@@ -504,7 +442,8 @@ SessionManager::ForecastAll() {
     s->last_used.store(use_seq_.fetch_add(1) + 1, std::memory_order_relaxed);
     s->last_touch_ns.store(NowNs(), std::memory_order_relaxed);
   }
-  std::vector<ForecastResponse> responses = ForecastPinned(ids, pinned);
+  std::vector<ForecastResponse> responses =
+      ForecastPinned(ids, pinned, /*count_batches=*/true);
   std::vector<std::pair<std::string, ForecastResponse>> out;
   out.reserve(ids.size());
   for (size_t i = 0; i < ids.size(); ++i) {
@@ -515,7 +454,7 @@ SessionManager::ForecastAll() {
 
 std::vector<ForecastResponse> SessionManager::ForecastPinned(
     const std::vector<std::string>& session_ids,
-    const std::vector<std::shared_ptr<Session>>& pinned) {
+    const std::vector<std::shared_ptr<Session>>& pinned, bool count_batches) {
   const size_t n = session_ids.size();
   std::vector<ForecastResponse> out(n);
   std::vector<bool> active(n, false);
@@ -566,25 +505,32 @@ std::vector<ForecastResponse> SessionManager::ForecastPinned(
       const StreamRoute& route = pinned[idxs[0]]->route;
       const int64_t b = static_cast<int64_t>(idxs.size());
 
-      // One grad-free batched forward per shard engine.
-      Status group_status = Status::OK();
-      std::vector<BatchForecastResponse> per_shard(route.engines.size());
-      for (size_t k = 0; k < route.engines.size() && group_status.ok(); ++k) {
+      // One grad-free batched forward per shard engine. A single-session
+      // Forecast takes the engine's B = 1 calls, which leave the engine's
+      // batch counters alone.
+      auto serve_shard = [&](size_t k) -> BatchForecastResponse {
+        ForecastEngine* engine = route.engines[k];
         if (warm) {
           std::vector<const train::StreamState*> states;
           states.reserve(idxs.size());
           for (size_t i : idxs) states.push_back(pinned[i]->states[k].get());
-          per_shard[k] = route.engines[k]->ForecastFromStateBatch(states);
-        } else {
-          // Ring windows gather zero-copy: Window() is a live view of
-          // ring storage and a one-member group passes that view through
-          // PackBatch without a copy.
-          std::vector<tensor::Tensor> windows;
-          windows.reserve(idxs.size());
-          for (size_t i : idxs) windows.push_back(pinned[i]->rings[k].Window());
-          per_shard[k] =
-              route.engines[k]->SubmitBatch(tensor::PackBatch(windows));
+          return count_batches
+                     ? engine->ForecastFromStateBatch(states)
+                     : AsBatch(engine->ForecastFromState(*states[0]));
         }
+        // Ring windows gather zero-copy: Window() is a live view of ring
+        // storage and a one-member group passes that view through
+        // PackBatch without a copy.
+        std::vector<tensor::Tensor> windows;
+        windows.reserve(idxs.size());
+        for (size_t i : idxs) windows.push_back(pinned[i]->rings[k].Window());
+        return count_batches ? engine->SubmitBatch(tensor::PackBatch(windows))
+                             : AsBatch(engine->ForecastNow(windows[0]));
+      };
+      Status group_status = Status::OK();
+      std::vector<BatchForecastResponse> per_shard(route.engines.size());
+      for (size_t k = 0; k < route.engines.size() && group_status.ok(); ++k) {
+        per_shard[k] = serve_shard(k);
         if (!per_shard[k].status.ok()) group_status = per_shard[k].status;
       }
       if (!group_status.ok()) {
@@ -601,7 +547,7 @@ std::vector<ForecastResponse> SessionManager::ForecastPinned(
       }
 
       // Scatter the (B, T', L) shard outputs back into per-session heap
-      // responses, dropping halos exactly like the sequential path.
+      // responses, dropping halos.
       for (size_t j = 0; j < idxs.size(); ++j) {
         const size_t i = idxs[j];
         ForecastResponse& r = out[i];
@@ -611,38 +557,23 @@ std::vector<ForecastResponse> SessionManager::ForecastPinned(
         }
         r.batch_size = b;
         r.compute_micros = micros;
-        if (!route.sharded) {
-          const tensor::Tensor& fc = per_shard[0].forecasts;  // (B, T', N)
-          DYHSL_CHECK_EQ(fc.size(1), route.horizon);
-          DYHSL_CHECK_EQ(fc.size(2), route.num_nodes);
-          std::memcpy(
-              r.forecast.data(),
-              fc.data() + static_cast<int64_t>(j) * route.horizon *
-                              route.num_nodes,
-              static_cast<size_t>(route.horizon * route.num_nodes) *
-                  sizeof(float));
-        } else {
-          for (size_t k = 0; k < route.engines.size(); ++k) {
-            const graph::ShardSpec& shard = (*route.shards)[k];
-            const tensor::Tensor& fc = per_shard[k].forecasts;  // (B, T', L)
-            const int64_t local = shard.num_local();
-            DYHSL_CHECK_EQ(fc.size(1), route.horizon);
-            DYHSL_CHECK_EQ(fc.size(2), local);
-            const int64_t owned = shard.owned_count();
-            for (int64_t t = 0; t < route.horizon; ++t) {
-              std::memcpy(
-                  r.forecast.data() + t * route.num_nodes + shard.begin,
-                  fc.data() +
-                      (static_cast<int64_t>(j) * route.horizon + t) * local +
-                      shard.owned_offset,
-                  static_cast<size_t>(owned) * sizeof(float));
-            }
+        for (size_t k = 0; k < route.engines.size(); ++k) {
+          const tensor::Tensor& fc = per_shard[k].forecasts;  // (B, T', L)
+          const int64_t item = fc.numel() / b;
+          const tensor::Tensor slice =
+              fc.Alias(static_cast<int64_t>(j) * item, {fc.size(1), fc.size(2)});
+          if (route.sharded) {
+            graph::StitchOwned((*route.shards)[k], slice, &r.forecast);
+          } else {
+            DYHSL_CHECK(slice.shape() == r.forecast.shape());
+            std::memcpy(r.forecast.data(), slice.data(),
+                        static_cast<size_t>(item) * sizeof(float));
           }
         }
         pinned[i]->forecasts += 1;
         forecasts_.fetch_add(1, std::memory_order_relaxed);
       }
-      RecordBatch(route.model, b);
+      if (count_batches) RecordBatch(route.model, b);
       pack_arena.Reset();
     }
   }
@@ -678,19 +609,8 @@ Status SessionManager::Close(const std::string& session_id) {
 }
 
 int64_t SessionManager::EvictExpired() {
-  if (options_.ttl_ms <= 0) return 0;
   std::lock_guard<std::mutex> lock(mu_);
-  const int64_t before = evicted_ttl_.load(std::memory_order_relaxed);
-  const int64_t cutoff = NowNs() - options_.ttl_ms * 1'000'000;
-  for (auto it = sessions_.begin(); it != sessions_.end();) {
-    if (it->second->last_touch_ns.load(std::memory_order_relaxed) < cutoff) {
-      it = sessions_.erase(it);
-      evicted_ttl_.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      ++it;
-    }
-  }
-  return evicted_ttl_.load(std::memory_order_relaxed) - before;
+  return EvictExpiredLocked();
 }
 
 Result<SessionStats> SessionManager::SessionInfo(

@@ -13,31 +13,35 @@
 //    manager's Workspace arena — for a sharded model, one ring of
 //    shard-local (L, F) frames per shard, gathered at Append time, so
 //    routing work happens once per tick instead of once per request.
-//  * Append() ingests one tick of raw flow (N floats), derives the
-//    MakeInput feature layout (scaled flow, time-of-day, day-of-week)
-//    bit-identically from the absolute tick index, and pushes the frame
-//    into every ring. Ticks are strictly sequential: a duplicate,
-//    out-of-order or gapped tick is rejected with kInvalidArgument and
-//    the session stays on its last consistent state.
-//  * Forecast() serves from the hot window with zero window assembly:
-//    each ring's contiguous (T, L, F) view feeds the shard engine's
-//    synchronous ForecastNow fast path on the calling thread (no queue,
-//    no micro-batch delay, no window copy), and the shard forecasts are
-//    stitched into the global (T', N) exactly like the router does.
+//  * AppendMany() ingests one tick of raw flow (N floats) per session,
+//    derives the MakeInput feature layout (scaled flow, time-of-day,
+//    day-of-week) bit-identically from the absolute tick index, and
+//    pushes the frame into every ring. Ticks are strictly sequential: a
+//    duplicate, out-of-order or gapped tick is rejected with
+//    kInvalidArgument and the session stays on its last consistent state.
+//  * ForecastBatch() serves from the hot windows with zero window
+//    assembly: the rings' contiguous (T, L, F) views are packed per shard
+//    engine (no copy at B = 1) and fed to the engine's synchronous batch
+//    call on the calling thread (no queue, no micro-batch delay), and the
+//    shard forecasts are stitched into the global (T', N) with
+//    graph::StitchOwned, exactly like the router does.
+//  * Append() and Forecast() are the same code for one session. They
+//    count in `ticks` / `forecasts`, never in the cross-session occupancy
+//    counters (SessionBatchStats) or the engines' `batched_*` counters.
 //
 // Exactness. A default (windowed) session forecast is bit-identical to
 // submitting the same window through ForecastRouter::Submit: the ring
-// view holds the same floats MakeInput would produce, and ForecastNow
-// runs under the engine's worker team size. With
+// view holds the same floats MakeInput would produce, and the engine's
+// synchronous calls run under its worker team size. With
 // SessionOptions::warm_state (models implementing
-// train::RecurrentStreamModel), Append additionally advances a carried
-// encoder state by one cell step and Forecast runs only the T'-step
-// decoder; the carry equals a cold encoder pass over *every* tick since
-// the session opened (bit-identical by construction), and is therefore
-// drift-bounded relative to the last-T-window reference — it remembers
-// what the window forgot. resync_every bounds that drift by periodically
-// rebuilding the state from the ring window, after which the next
-// forecast is again bit-identical to the windowed reference.
+// train::RecurrentStreamModel), each append additionally advances a
+// carried encoder state by one cell step and a forecast runs only the
+// T'-step decoder; the carry equals a cold encoder pass over *every* tick
+// since the session opened (bit-identical by construction), and is
+// therefore drift-bounded relative to the last-T-window reference — it
+// remembers what the window forgot. resync_every bounds that drift by
+// periodically rebuilding the state from the ring window, after which the
+// next forecast is again bit-identical to the windowed reference.
 //
 // Sessions also maintain rolling (EMA) statistics of the masked raw
 // flow. Serving always normalizes with the *training* scaler — swapping
@@ -184,7 +188,8 @@ class SessionManager {
   /// \brief Ingests one tick: `raw_flow` is the (N,) raw readings at
   /// absolute tick `tick`, which must be exactly the session's next
   /// expected tick — duplicates, reorders and gaps are rejected with
-  /// kInvalidArgument without touching the window.
+  /// kInvalidArgument without touching the window. AppendMany of one
+  /// session.
   Status Append(const std::string& session_id, int64_t tick,
                 const tensor::Tensor& raw_flow);
 
@@ -206,6 +211,7 @@ class SessionManager {
   /// \brief Serves a forecast from the session's current window. Fails
   /// with kUnavailable until `history` ticks have been appended. The
   /// response's forecast is heap-backed, valid after the session dies.
+  /// ForecastBatch of one session, not counted in SessionBatchStats.
   ForecastResponse Forecast(const std::string& session_id);
 
   /// \brief Cross-session batched forecasting: groups the ready sessions
@@ -245,10 +251,12 @@ class SessionManager {
   std::shared_ptr<Session> Find(const std::string& session_id) const;
   /// Under mu_: TTL sweep + LRU eviction down to max_sessions - 1.
   void EvictLocked();
+  /// Under mu_: evicts the sessions idle past ttl_ms; returns how many.
+  int64_t EvictExpiredLocked();
   /// Under s->mu: validates and ingests one tick frame — feature
   /// staging, ring pushes, rolling stats, tick accounting — everything
-  /// except the warm-state advance, which Append runs per session and
-  /// AppendMany runs batched across sessions.
+  /// except the warm-state advance, which AppendMany runs batched across
+  /// sessions.
   Status IngestFrameLocked(Session* s, int64_t tick,
                            const tensor::Tensor& raw_flow);
   /// Under s->mu: rebuilds warm state from the full ring if the resync
@@ -257,9 +265,11 @@ class SessionManager {
   /// because the rebuild overwrites the carried state completely.
   static bool MaybeResyncLocked(Session* s);
   /// ForecastBatch over already-pinned sessions (nullptr = unknown id).
+  /// `count_batches` is false only for the one-session Forecast: it then
+  /// serves through the engines' B = 1 calls and records no occupancy.
   std::vector<ForecastResponse> ForecastPinned(
       const std::vector<std::string>& session_ids,
-      const std::vector<std::shared_ptr<Session>>& pinned);
+      const std::vector<std::shared_ptr<Session>>& pinned, bool count_batches);
   /// Accumulates one group forward into the occupancy counters.
   void RecordBatch(const std::string& model, int64_t batch_size);
 

@@ -9,8 +9,11 @@
 // RecurrentStreamModel; serve::SessionManager detects the capability
 // with a dynamic_cast and routes warm-state sessions through it.
 //
+// Every call is batched over B sessions ready at the same tick; a
+// single session is a batch of one.
+//
 // Exactness contract (asserted in stream_test):
-//  * StreamStep applied to every tick since the session opened is
+//  * AdvanceStateBatch applied to every tick since the session opened is
 //    bit-identical to a cold Forward over the same full stream — the
 //    carry IS the encoder, not an approximation of it.
 //  * Relative to the *windowed* reference (a cold Forward over only the
@@ -18,6 +21,9 @@
 //    the window has forgotten. ResyncState rebuilds the state from a
 //    window, after which the next forecast is bit-identical to the
 //    windowed reference; SessionOptions::resync_every sets the cadence.
+//  * Per-session results at B > 1 equal those at B = 1 within 1e-5 (the
+//    stacked kernels process each batch item with the same accumulation
+//    order, so DCRNN's are bit-identical).
 
 #ifndef DYHSL_TRAIN_STREAMING_H_
 #define DYHSL_TRAIN_STREAMING_H_
@@ -51,47 +57,24 @@ class RecurrentStreamModel {
   /// (zero hidden state, no decoder seed).
   virtual std::unique_ptr<StreamState> MakeStreamState() const = 0;
 
-  /// \brief Advances the encoder by one tick. `frame` is (N, F) in the
-  /// MakeInput feature layout (scaled flow, time-of-day, day-of-week).
-  virtual void StreamStep(StreamState* state,
-                          const tensor::Tensor& frame) const = 0;
-
   /// \brief Rebuilds the state by cold-replaying a full (T, N, F)
   /// window from zeros — afterwards the state matches what Forward's
   /// encoder would hold, bit-identically.
   virtual void ResyncState(StreamState* state,
                            const tensor::Tensor& window) const = 0;
 
-  /// \brief Decoder-only rollout from the current state: raw-flow
-  /// forecast (T', N). Does not advance or mutate `state` (each call
-  /// rolls a private copy of the hidden state).
-  virtual tensor::Tensor StreamForecast(const StreamState& state) const = 0;
-
-  /// \name Cross-session batching
-  ///
-  /// The batched forms amortize one cell step / decoder rollout across B
-  /// sessions that are ready at the same tick. The base implementations
-  /// loop the per-session methods (so every RecurrentStreamModel batches
-  /// correctly out of the box); models with a batch-capable cell (DCRNN)
-  /// override them to stack per-session state into (B, N, d) and run one
-  /// batched step. Contract: per-session results equal the sequential
-  /// methods — bit-identically at B == 1, and within 1e-5 for B > 1
-  /// (the stacked kernels process each batch item with the same
-  /// accumulation order, so overrides are typically bit-identical too).
-  /// @{
-
   /// \brief Advances states[i] by one tick using frames slice i, where
-  /// `frames` is the (B, frame_shape...) stack of per-session frames.
+  /// `frames` is the (B, N, F) stack of per-session frames in the
+  /// MakeInput feature layout (scaled flow, time-of-day, day-of-week).
   virtual void AdvanceStateBatch(const std::vector<StreamState*>& states,
-                                 const tensor::Tensor& frames) const;
+                                 const tensor::Tensor& frames) const = 0;
 
   /// \brief Decoder-only rollout for every state: stacked raw-flow
   /// forecasts (B, T', N). Mutates no state. The result is allocated
   /// through the caller's current allocation path (arena inside a
   /// WorkspaceScope) — copy it out before any reset.
   virtual tensor::Tensor ForecastFromStateBatch(
-      const std::vector<const StreamState*>& states) const;
-  /// @}
+      const std::vector<const StreamState*>& states) const = 0;
 };
 
 }  // namespace dyhsl::train

@@ -295,6 +295,53 @@ TEST(StreamSessionTest, ResyncEveryTickMatchesWindowedReferenceExactly) {
   EXPECT_TRUE(info.ValueOrDie().warm);
 }
 
+TEST(StreamSessionTest, ShardedWarmResyncEveryTickMatchesShardedRouterSubmit) {
+  // The metro-stream serving path: one warm DCRNN session over a 2-shard
+  // halo split, rebuilt from its shard rings after every Append. Each
+  // forecast must equal a full-window router Submit of the same window.
+  const data::TrafficDataset& ds = SharedDataset();
+  train::ForecastTask task = train::ForecastTask::FromDataset(ds);
+  graph::ShardPlan plan = graph::ShardPlan::Build(task.spatial_adj, 2, 2);
+  auto router = std::move(ForecastRouter::Create()).ValueOrDie();
+  ASSERT_TRUE(router
+                  ->AddShardedModel("dcrnn2", task, plan,
+                                    ZooFactory("DCRNN", TinyZoo()))
+                  .ok());
+  SessionManager manager(router.get());
+  SessionOptions warm_options;
+  warm_options.model = "dcrnn2";
+  warm_options.warm_state = true;
+  warm_options.resync_every = 1;
+  ASSERT_TRUE(manager.Open("metro", warm_options).ok());
+
+  const int64_t slides = 3;
+  int64_t compared = 0;
+  data::TickStream stream(ds.traffic(), 0, task.history + slides);
+  for (; !stream.Done(); stream.Advance()) {
+    ASSERT_TRUE(manager.Append("metro", stream.tick(), stream.Frame()).ok());
+    if (stream.tick() + 1 < task.history) continue;
+    const int64_t window_start = stream.tick() + 1 - task.history;
+    ForecastResponse streamed = manager.Forecast("metro");
+    ASSERT_TRUE(streamed.status.ok()) << streamed.status.ToString();
+    ForecastResponse batch =
+        router->Submit(RouterRequest{"dcrnn2", ds.MakeInput(window_start)})
+            .get();
+    ASSERT_TRUE(batch.status.ok()) << batch.status.ToString();
+    EXPECT_TRUE(TensorEq(streamed.forecast, batch.forecast))
+        << "at window start " << window_start;
+    compared += 1;
+  }
+  EXPECT_EQ(compared, slides + 1);
+  // Single-session Append/Forecast never count as cross-session batches,
+  // neither in the manager's occupancy nor in the shard engines.
+  EXPECT_EQ(manager.Stats().batch.batched_forecasts, 0);
+  RouterStats rstats = router->Stats();
+  ASSERT_EQ(rstats.engines.size(), 2u);
+  for (const auto& engine : rstats.engines) {
+    EXPECT_EQ(engine.stats.batched_submits, 0);
+  }
+}
+
 TEST(StreamSessionTest, WarmWithoutResyncDriftsThenResyncRestoresExactness) {
   const data::TrafficDataset& ds = SharedDataset();
   train::ForecastTask task = train::ForecastTask::FromDataset(ds);
@@ -658,6 +705,7 @@ TEST(StreamSessionTest, EngineSnapshotCountsStreamedRequests) {
   EngineStats stats = engine->Snapshot();
   EXPECT_EQ(stats.requests, 2);
   EXPECT_EQ(stats.streamed, 1);
+  EXPECT_EQ(stats.batched_submits, 0);
   // Shape validation fails fast, without touching the queue.
   EXPECT_EQ(engine->ForecastNow(T::Tensor({2, 2})).status.code(),
             StatusCode::kInvalidArgument);
