@@ -1,19 +1,31 @@
-// Serving benchmark: grad-free vs taped forward latency, the inference
-// plan's attributable win (prepacked weights + GEMM fast paths vs the
-// legacy all-packed path), engine single-stream latency, and closed-loop
-// multi-client throughput.
+// Serving benchmark: grad-free vs taped forward latency, the two GEMM
+// savings the inference plan rests on, engine single-stream latency, and
+// closed-loop multi-client throughput.
 //
-//   $ ./build/bench_serve                          # prints a table
-//   $ ./build/bench_serve --check-prepack-floor=1.15   # CI guard
+//   $ ./build/bench_serve                              # prints a table
+//   $ ./build/bench_serve --check-prepack-floor=1.25   # CI guard
 //   $ DYHSL_BENCH_OUT=BENCH_serve.json ./build/bench_serve
 //
-// The plan phase forks the same grad-free forward three ways in
-// interleaved rounds: legacy (fast paths off, no prepack — the pre-plan
-// kernel), fast (direct-A/small-path kernels, packing still on the fly),
-// and plan (fast + prepacked constant weights served by the
-// PrepackCache). All three are bit-identical by construction; the gap is
-// pure packing/dispatch time, reported as `packing_share`.
-// --check-prepack-floor=R exits non-zero when legacy/plan < R.
+// The kernel phase times one serving-shaped GEMM (x @ W, W a d x d
+// weight) three ways through public calls only, in interleaved best-of
+// rounds with a step arena, on teams of one and two threads:
+//  * plan:     MatMulInto with W enrolled in the PrepackCache, under a
+//              PrepackLookupScope — W's panels come prepacked and op(A)
+//              is read in place;
+//  * unscoped: the same call outside the scope — W is packed per call;
+//  * staged:   PackAOperand(x) then BatchedGemmPrepackedInto with that
+//              A pack and W's prepacked panels — op(A) copied per call.
+// All three are bit-identical by construction. Two ratios summarize
+// them, each where its saving is visible:
+//  * prepack = unscoped / plan at 207x64 on two threads. The B pack runs
+//    before the parallel region, so a team shrinks the compute and not
+//    the pack; on one thread it is a few percent, and the 16x16 weight
+//    has nothing worth prepacking.
+//  * direct_a = staged / plan on one thread (an engine worker's usual
+//    budget), summed over both shapes: every staged byte is on the
+//    critical path there, while on a team the copy hides behind the
+//    region's fork/join.
+// --check-prepack-floor=R exits non-zero when either ratio is below R.
 //
 // Scale: DYHSL_PROFILE=tiny|quick|full adjusts iteration counts only —
 // the model is always the paper-default DyHSL (d=64, Lp=6, Ls=2, I=32,
@@ -36,9 +48,11 @@
 #include "src/autograd/inference.h"
 #include "src/core/parallel.h"
 #include "src/core/profile.h"
+#include "src/core/rng.h"
 #include "src/models/dyhsl.h"
 #include "src/serve/engine.h"
 #include "src/tensor/gemm.h"
+#include "src/tensor/ops.h"
 #include "src/tensor/prepack.h"
 #include "src/tensor/workspace.h"
 #include "src/train/model_zoo.h"
@@ -89,75 +103,82 @@ struct ForwardTimes {
   double gradfree_ms = 0.0;
 };
 
-/// The three kernel configurations of the plan fork (all bit-identical).
-enum class PlanMode {
-  kLegacy,  // fast paths off, no prepack: the pre-plan serving kernel
-  kFast,    // direct-A/small-path kernels, packing still per call
-  kPlan,    // kFast + prepacked constant weights from the PrepackCache
+// Serving GEMM shapes for the kernel phase: B=1 N=207 activations against
+// a d=64 DyHSL weight, and an N=24 x 64-session fleet tile against a d=16
+// DCRNN weight.
+struct KernelShape {
+  int64_t m, d;
+};
+constexpr KernelShape kKernelShapes[] = {{207, 64}, {1536, 16}};
+
+enum class KernelMode { kPlan, kUnscoped, kStaged };
+
+struct KernelTimes {
+  double plan_us = 1e30;
+  double unscoped_us = 1e30;
+  double staged_us = 1e30;
 };
 
-// One timed burst of grad-free forwards under the given kernel mode.
-double TimePlanModeOnce(models::DyHsl* model, const T::Tensor& x,
-                        T::Workspace* workspace, PlanMode mode, int iters) {
-  const bool prev_fast = T::SetGemmFastPaths(mode != PlanMode::kLegacy);
+// One timed burst of `iters` x @ w calls in the given mode; microseconds
+// per call. `pre_w` is w's prepacked B panels (the staged mode's B side).
+double TimeKernelOnce(const T::Tensor& x, const T::Tensor& w,
+                      const T::PackedPanels& pre_w, T::Tensor* out,
+                      T::Workspace* workspace, KernelMode mode, int iters) {
+  const int64_t m = x.size(0), d = w.size(0);
+  T::WorkspaceScope scope(workspace);
   Clock::time_point start = Clock::now();
-  for (int i = 0; i < iters; ++i) {
-    T::WorkspaceScope scope(workspace);
-    autograd::InferenceModeGuard no_grad;
-    if (mode == PlanMode::kPlan) {
-      T::PrepackLookupScope prepack;
-      volatile float sink = model->Forward(x, false).value().data()[0];
-      (void)sink;
-    } else {
-      volatile float sink = model->Forward(x, false).value().data()[0];
-      (void)sink;
+  if (mode == KernelMode::kStaged) {
+    for (int i = 0; i < iters; ++i) {
+      auto pre_x = T::PackedPanels::PackAOperand(x.data(), d, false, m, d);
+      T::BatchedGemmPrepackedInto(1, false, false, m, d, d, nullptr, 0, d,
+                                  pre_x.get(), nullptr, 0, d, &pre_w, 0.0f,
+                                  out->data(), 0, d);
     }
-    workspace->Reset();
+  } else if (mode == KernelMode::kPlan) {
+    T::PrepackLookupScope prepack;
+    for (int i = 0; i < iters; ++i) {
+      T::MatMulInto(x, w, false, false, 0.0f, out);
+    }
+  } else {
+    for (int i = 0; i < iters; ++i) {
+      T::MatMulInto(x, w, false, false, 0.0f, out);
+    }
   }
-  double ms = MsSince(start) / iters;
-  T::SetGemmFastPaths(prev_fast);
-  return ms;
+  const double us = 1000.0 * MsSince(start) / iters;
+  workspace->Reset();
+  return us;
 }
 
-struct PlanTimes {
-  double legacy_ms = 0.0;
-  double fast_ms = 0.0;
-  double plan_ms = 0.0;
-};
-
-// Interleaved legacy / fast / plan rounds (best-of per mode), same forked
-// structure as TimeForwardPair so no mode is biased by machine drift.
-PlanTimes TimePlanFork(models::DyHsl* model, const T::Tensor& x, int iters,
+// Interleaved plan / unscoped / staged bursts, best-of per mode, on a
+// team of `team` threads.
+KernelTimes TimeKernel(const KernelShape& shape, int team, int iters,
                        int rounds) {
-  T::Workspace legacy_ws, fast_ws, plan_ws;
-  TimePlanModeOnce(model, x, &legacy_ws, PlanMode::kLegacy, 1);
-  TimePlanModeOnce(model, x, &fast_ws, PlanMode::kFast, 1);
-  TimePlanModeOnce(model, x, &plan_ws, PlanMode::kPlan, 1);
-  PlanTimes best{1e30, 1e30, 1e30};
-  for (int r = 0; r < rounds; ++r) {
-    best.legacy_ms = std::min(
-        best.legacy_ms,
-        TimePlanModeOnce(model, x, &legacy_ws, PlanMode::kLegacy, iters));
-    best.fast_ms = std::min(
-        best.fast_ms,
-        TimePlanModeOnce(model, x, &fast_ws, PlanMode::kFast, iters));
-    best.plan_ms = std::min(
-        best.plan_ms,
-        TimePlanModeOnce(model, x, &plan_ws, PlanMode::kPlan, iters));
+  core::TeamScope team_scope(team);
+  T::Workspace workspace;
+  Rng rng(5);
+  T::Tensor x = T::Tensor::Randn({shape.m, shape.d}, &rng, 1.0f);
+  T::Tensor w = T::Tensor::Randn({shape.d, shape.d}, &rng, 0.1f);
+  T::Tensor out({shape.m, shape.d});
+  T::PrepackCache& cache = T::PrepackCache::Instance();
+  cache.Enroll(w);
+  auto pre_w =
+      T::PackedPanels::PackBOperand(w.data(), shape.d, false, shape.d, shape.d);
+  KernelTimes best;
+  for (int r = 0; r <= rounds; ++r) {  // round 0 warms up, untimed
+    const int n = r == 0 ? 1 : iters;
+    auto time = [&](KernelMode mode) {
+      return TimeKernelOnce(x, w, *pre_w, &out, &workspace, mode, n);
+    };
+    const double plan = time(KernelMode::kPlan);
+    const double unscoped = time(KernelMode::kUnscoped);
+    const double staged = time(KernelMode::kStaged);
+    if (r == 0) continue;
+    best.plan_us = std::min(best.plan_us, plan);
+    best.unscoped_us = std::min(best.unscoped_us, unscoped);
+    best.staged_us = std::min(best.staged_us, staged);
   }
+  cache.Release(w.data());
   return best;
-}
-
-// Enrolls every 2-D weight of the model in the PrepackCache (what
-// ForecastEngine::Create does for engines; the standalone forward phase
-// needs it done by hand).
-void EnrollModel(const nn::Module& module) {
-  for (const auto& [name, var] : module.NamedParameters()) {
-    if (var.value().dim() == 2) T::PrepackCache::Instance().Enroll(var.value());
-  }
-  for (const auto& [name, var] : module.NamedConstants()) {
-    if (var.value().dim() == 2) T::PrepackCache::Instance().Enroll(var.value());
-  }
 }
 
 // Interleaved taped / grad-free rounds (best-of per mode): alternating
@@ -270,23 +291,41 @@ int main(int argc, char** argv) {
   std::printf("forward (B=1): taped %.2f ms, grad-free %.2f ms  -> %.2fx\n",
               taped_ms, gradfree_ms, speedup);
 
-  // 1b. The inference plan's attributable win: the same grad-free forward
-  // under the legacy kernel, the fast paths alone, and the full plan
-  // (fast paths + prepacked weights). Bit-identical outputs; the gap is
-  // packing and dispatch time only.
-  EnrollModel(model);
-  PlanTimes plan = TimePlanFork(&model, x1, fwd_iters, 6);
-  const double prepack_speedup =
-      plan.plan_ms > 0.0 ? plan.legacy_ms / plan.plan_ms : 0.0;
-  const double packing_share =
-      plan.legacy_ms > 0.0
-          ? (plan.legacy_ms - plan.plan_ms) / plan.legacy_ms
-          : 0.0;
-  std::printf(
-      "grad-free plan fork (B=1): legacy %.2f ms, fast %.2f ms, "
-      "plan %.2f ms  -> %.2fx (packing share %.1f%%)\n",
-      plan.legacy_ms, plan.fast_ms, plan.plan_ms, prepack_speedup,
-      100.0 * packing_share);
+  // 1b. The GEMM savings behind the inference plan, within this run:
+  // prepacked weights (plan vs unscoped) and in-place op(A) reads (plan vs
+  // a per-call PackAOperand). Bit-identical outputs; the gaps are packing
+  // time only.
+  const int kernel_iters = profile == RunProfile::kTiny ? 1000 : 2000;
+  struct KernelRow {
+    int team;
+    KernelShape shape;
+    KernelTimes times;
+  };
+  std::vector<KernelRow> kernels;
+  double prepack_ratio = 0.0;
+  double staged_sum = 0.0, plan_sum = 0.0;
+  for (int team : {1, 2}) {
+    for (const KernelShape& shape : kKernelShapes) {
+      const KernelTimes k = TimeKernel(shape, team, kernel_iters, 15);
+      kernels.push_back({team, shape, k});
+      if (team == 1) {
+        staged_sum += k.staged_us;
+        plan_sum += k.plan_us;
+      } else if (&shape == &kKernelShapes[0]) {
+        prepack_ratio = k.unscoped_us / k.plan_us;
+      }
+      std::printf(
+          "gemm %lldx%lld @ %lldx%lld (team %d): plan %.2f us, unscoped "
+          "%.2f us, staged A %.2f us\n",
+          static_cast<long long>(shape.m), static_cast<long long>(shape.d),
+          static_cast<long long>(shape.d), static_cast<long long>(shape.d),
+          team, k.plan_us, k.unscoped_us, k.staged_us);
+    }
+  }
+  const double direct_a_ratio = staged_sum / plan_sum;
+  std::printf("kernel ratios: prepack %.2fx (207x64, team 2), direct-A "
+              "%.2fx (team 1)\n",
+              prepack_ratio, direct_a_ratio);
 
   // 2. Engine under closed-loop load at 1 / 4 / 16 clients.
   serve::EngineOptions options;
@@ -326,15 +365,26 @@ int main(int argc, char** argv) {
   std::fprintf(out, "  \"model\": \"DyHSL\",\n");
   std::fprintf(out, "  \"nodes\": %lld,\n", static_cast<long long>(kNodes));
   std::fprintf(out, "  \"profile\": \"%s\",\n", RunProfileName(profile));
+  std::fprintf(out, "  \"hardware_threads\": %d,\n",
+               core::HardwareThreads());
   std::fprintf(out, "  \"forward_taped_ms\": %.4f,\n", taped_ms);
   std::fprintf(out, "  \"forward_gradfree_ms\": %.4f,\n", gradfree_ms);
   std::fprintf(out, "  \"gradfree_speedup\": %.4f,\n", speedup);
-  std::fprintf(out, "  \"forward_gradfree_legacy_ms\": %.4f,\n",
-               plan.legacy_ms);
-  std::fprintf(out, "  \"forward_gradfree_fast_ms\": %.4f,\n", plan.fast_ms);
-  std::fprintf(out, "  \"forward_gradfree_plan_ms\": %.4f,\n", plan.plan_ms);
-  std::fprintf(out, "  \"prepack_speedup\": %.4f,\n", prepack_speedup);
-  std::fprintf(out, "  \"packing_share\": %.4f,\n", packing_share);
+  std::fprintf(out, "  \"kernel\": {\"rows\": [\n");
+  for (size_t i = 0; i < kernels.size(); ++i) {
+    const KernelRow& row = kernels[i];
+    std::fprintf(out,
+                 "    {\"team\": %d, \"m\": %lld, \"d\": %lld, "
+                 "\"plan_us\": %.3f, \"unscoped_us\": %.3f, "
+                 "\"staged_a_us\": %.3f}%s\n",
+                 row.team, static_cast<long long>(row.shape.m),
+                 static_cast<long long>(row.shape.d), row.times.plan_us,
+                 row.times.unscoped_us, row.times.staged_us,
+                 i + 1 < kernels.size() ? "," : "");
+  }
+  std::fprintf(out,
+               "  ], \"prepack_ratio\": %.4f, \"direct_a_ratio\": %.4f},\n",
+               prepack_ratio, direct_a_ratio);
   std::fprintf(out, "  \"engine\": {\"max_batch\": %lld, \"max_delay_us\": "
                     "%lld, \"num_workers\": %lld},\n",
                static_cast<long long>(options.max_batch),
@@ -353,12 +403,12 @@ int main(int argc, char** argv) {
   std::fclose(out);
   std::printf("wrote %s\n", out_path.c_str());
 
-  if (check_prepack_floor > 0.0 && prepack_speedup < check_prepack_floor) {
+  if (check_prepack_floor > 0.0 &&
+      std::min(prepack_ratio, direct_a_ratio) < check_prepack_floor) {
     std::fprintf(stderr,
-                 "FLOOR VIOLATION: prepack speedup %.2fx below required "
-                 "%.2fx (legacy %.2f ms vs plan %.2f ms)\n",
-                 prepack_speedup, check_prepack_floor, plan.legacy_ms,
-                 plan.plan_ms);
+                 "FLOOR VIOLATION: kernel ratios prepack %.2fx, direct-A "
+                 "%.2fx; both must reach %.2fx\n",
+                 prepack_ratio, direct_a_ratio, check_prepack_floor);
     return 1;
   }
   return 0;

@@ -4,9 +4,16 @@
 // Design notes
 //  * BLIS-style blocking: the K dimension is split into kKc panels, rows
 //    into kMc blocks, and a kMr x kNr register tile is accumulated per
-//    micro-kernel call. Operands are packed into contiguous panels first,
-//    so every trans_a/trans_b combination runs unit-stride inner loops —
-//    the packing absorbs the strides.
+//    micro-kernel call. op(B) is packed into contiguous kNr-column panels
+//    per K panel, so both trans_b forms run unit-stride inner loops.
+//  * op(A) is read in place: no-trans A through kMr row pointers, trans A
+//    through its contiguous kMr-lane rows with stride lda. Only the
+//    trans-A row tail group (fewer than kMr rows, whose padded lanes would
+//    read past the matrix edge) is staged through the A packing. Both
+//    direct kernels replay the packed kernel's per-element accumulation
+//    order, so a caller-supplied A pack (PackedPanels::PackAOperand) gives
+//    bit-identical results. The packed-A micro-kernels serve those packs
+//    and the trans-A tail group, nothing else.
 //  * Deterministic for any OpenMP thread count: parallelism is over
 //    (batch, row-block) tasks inside a K-panel, each output element is
 //    written by exactly one task, and its floating-point accumulation
@@ -14,18 +21,15 @@
 //    the thread count.
 //  * beta semantics follow BLAS: C = beta * C + op(A) op(B), and beta == 0
 //    never reads C, so the output may be uninitialized arena memory.
-//  * Inference fast paths (on by default, see SetGemmFastPaths): a
-//    no-trans A operand is consumed directly through strided row pointers
-//    instead of being packed (activations dominate packing time), and
-//    GEMMs under the parallel cutoff skip the arena plan and OpenMP
-//    region entirely. Both paths replay the packed kernels' per-element
-//    accumulation order exactly, so results stay bit-identical to the
-//    legacy all-packed path.
+//  * GEMMs under the parallel cutoff, or on a thread whose team budget is
+//    one, skip the arena plan and the OpenMP region entirely; the per-
+//    element accumulation order is the same either way.
 //  * PackedPanels lets a caller pack a long-lived operand (a frozen
-//    checkpoint weight) once and reuse the panels across calls — the
-//    packed bytes are the same ones the on-the-fly path would produce,
-//    so prepacked GEMMs are bit-identical too. See src/tensor/prepack.h
-//    for the cache that serves them transparently.
+//    checkpoint weight) once and reuse the panels across calls — a B pack
+//    holds the same bytes the on-the-fly B packing would produce, and an A
+//    pack feeds the kernels whose order the direct-A reads replay, so
+//    prepacked GEMMs are bit-identical too. See src/tensor/prepack.h for
+//    the cache that serves them transparently.
 
 #ifndef DYHSL_TENSOR_GEMM_H_
 #define DYHSL_TENSOR_GEMM_H_
@@ -97,8 +101,8 @@ void GemmInto(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
 
 /// \brief Batched GemmInto. `a_stride`/`b_stride`/`c_stride` advance each
 /// operand between batch items; a stride of 0 shares that operand across
-/// the whole batch, in which case it is packed once and reused by every
-/// batch item (the shared-weight fast path).
+/// the whole batch. A shared B is packed once per K panel and reused by
+/// every batch item (the shared-weight path).
 void BatchedGemmInto(int64_t batch, bool trans_a, bool trans_b, int64_t m,
                      int64_t n, int64_t k, const float* a, int64_t a_stride,
                      int64_t lda, const float* b, int64_t b_stride,
@@ -108,8 +112,9 @@ void BatchedGemmInto(int64_t batch, bool trans_a, bool trans_b, int64_t m,
 /// \brief BatchedGemmInto accepting optional prepacked operands. A non-null
 /// `pre_a`/`pre_b` must describe the matching shared operand (stride 0,
 /// same trans flag and op() dimensions, packed from the same bytes) and
-/// replaces its on-the-fly packing; results are bit-identical to the
-/// unpacked call. The raw pointer for a prepacked operand may be null.
+/// replaces its in-place read (A) or on-the-fly packing (B); results are
+/// bit-identical to the unpacked call. The raw pointer for a prepacked
+/// operand may be null.
 void BatchedGemmPrepackedInto(int64_t batch, bool trans_a, bool trans_b,
                               int64_t m, int64_t n, int64_t k, const float* a,
                               int64_t a_stride, int64_t lda,
@@ -117,16 +122,6 @@ void BatchedGemmPrepackedInto(int64_t batch, bool trans_a, bool trans_b,
                               int64_t b_stride, int64_t ldb,
                               const PackedPanels* pre_b, float beta, float* c,
                               int64_t c_stride, int64_t ldc);
-
-/// \brief Enables/disables the inference fast paths (direct-A kernels and
-/// the small-size no-plan path) process-wide; returns the previous value.
-/// On by default. The legacy all-packed path produces bit-identical
-/// results — the toggle exists so benchmarks can measure the attributable
-/// win and property tests can compare the paths in one process.
-bool SetGemmFastPaths(bool enabled);
-
-/// \brief Current fast-path setting.
-bool GemmFastPathsEnabled();
 
 }  // namespace dyhsl::tensor
 

@@ -404,7 +404,8 @@ MatMulDims ResolveMatMulDims(const Tensor& a, const Tensor& b, bool trans_a,
 // Prepacked-operand resolution: under an active PrepackLookupScope (the
 // serving paths), shared 2-D operands are looked up in the PrepackCache
 // and enrolled weights skip their packing entirely — bit-identical, since
-// the cached panels hold the same bytes the on-the-fly pack would write.
+// cached B panels hold the same bytes the per-call pack would write, and
+// the in-place op(A) reads replay the kernels that cached A panels feed.
 // Training installs no scope and pays nothing here.
 struct PrepackedOperands {
   std::shared_ptr<const PackedPanels> a;
