@@ -669,9 +669,9 @@ Variable Dhgnn::Forward(const tensor::Tensor& x, bool training) {
     // k-means + kNN rebuild until the flow regime actually moves.
     DhgnnStructure& cache = StructureRegistry::Instance().ForThread(cache_id_);
     std::vector<float> means = SignatureMeans(signatures);
-    bool rebuild = true;
+    T::TopKPatternCache::Stats event;
     if (!cache.valid) {
-      cache.stats.selects += 1;
+      event.selects = 1;
     } else {
       int64_t drifted = 0;
       for (int64_t i = 0; i < n; ++i) {
@@ -683,14 +683,15 @@ Variable Dhgnn::Forward(const tensor::Tensor& x, bool training) {
       }
       if (static_cast<float>(drifted) <=
           structure_drift_threshold_ * static_cast<float>(n)) {
-        cache.stats.reuses += 1;
-        cache.stats.drifted_rows += drifted;
-        rebuild = false;
+        event.reuses = 1;
+        event.drifted_rows = drifted;
       } else {
-        cache.stats.drift_reselects += 1;
+        event.drift_reselects = 1;
       }
     }
-    if (rebuild) {
+    cache.stats += event;
+    T::TopKPatternCache::CountOnThread(event);
+    if (event.reuses == 0) {
       cache.op = BuildDhgnnStructure(signatures, num_clusters_, knn_);
       cache.node_means = std::move(means);
       cache.valid = true;

@@ -230,7 +230,8 @@ class Dhgnn : public GnnModelBase {
   /// tensor::TopKPatternCache::Stats: selects = cold builds, reuses =
   /// drift check passed, drift_reselects = rebuilds forced by drift,
   /// drifted_rows = total drifted nodes seen on reuse checks. Caches are
-  /// thread-local; this reads the calling thread's.
+  /// thread-local; this reads the calling thread's. Every event also
+  /// counts in tensor::TopKPatternCache::ThreadCounters().
   tensor::TopKPatternCache::Stats StructureCacheStats() const;
   /// \brief Drops the calling thread's cached structure (tests).
   void ClearStructureCache() const;

@@ -27,18 +27,35 @@ double MicrosSince(Clock::time_point start, Clock::time_point now) {
 // single spike barely moves the target.
 constexpr double kDepthEwmaWeight = 0.25;
 
-// A B = 1 batch response as the single-item response: (1, T', N) ->
-// (T', N), a view of the heap-backed batch storage.
-ForecastResponse Single(BatchForecastResponse batch) {
+// Item `i` of a batch response as a single-item response: row i of the
+// heap-backed (B, T', N) stack as a zero-copy (T', N) view.
+ForecastResponse Item(const BatchForecastResponse& batch, int64_t i) {
   ForecastResponse response;
-  response.status = std::move(batch.status);
+  response.status = batch.status;
   if (response.status.ok()) {
-    response.forecast = batch.forecasts.Reshape(
-        {batch.forecasts.size(1), batch.forecasts.size(2)});
+    const int64_t rows = batch.forecasts.size(1);
+    const int64_t cols = batch.forecasts.size(2);
+    response.forecast = batch.forecasts.Alias(i * rows * cols, {rows, cols});
   }
   response.batch_size = batch.batch_size;
   response.compute_micros = batch.compute_micros;
   return response;
+}
+
+// Rows of the (B, ...) tensor `t` holding any NaN or infinity.
+int64_t NonFiniteRows(const tensor::Tensor& t) {
+  const int64_t rows = t.size(0);
+  const int64_t row_numel = t.numel() / rows;
+  int64_t bad = 0;
+  for (int64_t r = 0; r < rows; ++r) {
+    const float* row = t.data() + r * row_numel;
+    bool finite = true;
+    for (int64_t i = 0; i < row_numel; ++i) {
+      finite &= std::isfinite(row[i]);
+    }
+    bad += finite ? 0 : 1;
+  }
+  return bad;
 }
 
 }  // namespace
@@ -121,17 +138,8 @@ ForecastEngine::ForecastEngine(const train::ForecastTask& task,
                                const EngineOptions& options)
     : task_(task), options_(options), model_(std::move(model)) {
   stats_.effective_max_batch = options_.max_batch;
-  // Capability probes, once per engine: warm-state streaming and
-  // observable structure-cache counters.
+  // Capability probe, once per engine: warm-state streaming.
   streaming_ = dynamic_cast<const train::RecurrentStreamModel*>(model_.get());
-  if (const auto* dyhsl = dynamic_cast<const models::DyHsl*>(model_.get());
-      dyhsl != nullptr && dyhsl->config().sparse_pattern_reuse) {
-    dyhsl_view_ = dyhsl;
-  }
-  if (const auto* dhgnn = dynamic_cast<const baselines::Dhgnn*>(model_.get());
-      dhgnn != nullptr && dhgnn->structure_reuse()) {
-    dhgnn_view_ = dhgnn;
-  }
   if (options_.team_size > 0) {
     worker_team_ = static_cast<int>(options_.team_size);
   } else {
@@ -176,15 +184,6 @@ void ForecastEngine::EnrollPrepack() {
   enroll(module->NamedConstants());
 }
 
-void ForecastEngine::AccumulatePrepackDelta(
-    const tensor::PrepackCache::Stats& before) {
-  const tensor::PrepackCache::Stats now =
-      tensor::PrepackCache::ThreadCounters();
-  std::lock_guard<std::mutex> lock(mu_);
-  stats_.prepack.hits += now.hits - before.hits;
-  stats_.prepack.misses += now.misses - before.misses;
-}
-
 void ForecastEngine::Shutdown() {
   // Claim the worker set under the lock so concurrent Shutdown calls
   // (or Shutdown racing the destructor) cannot double-join a thread.
@@ -212,6 +211,13 @@ std::future<ForecastResponse> ForecastEngine::Submit(ForecastRequest request) {
         (request.window.defined() ? tensor::ShapeToString(request.window.shape())
                                   : std::string("<undefined>")) +
         " != expected " + tensor::ShapeToString(expected));
+    promise.set_value(std::move(response));
+    return future;
+  }
+  if (NonFiniteRows(request.window) > 0) {
+    ForecastResponse response;
+    response.status =
+        Status::InvalidArgument("request window holds a NaN or infinity");
     promise.set_value(std::move(response));
     return future;
   }
@@ -255,48 +261,29 @@ EngineStats ForecastEngine::Snapshot() const {
   std::lock_guard<std::mutex> lock(mu_);
   EngineStats snapshot = stats_;
   snapshot.queue_depth = static_cast<int64_t>(queue_.size());
-  for (const auto& [tid, pattern] : pattern_by_thread_) {
-    snapshot.pattern.selects += pattern.selects;
-    snapshot.pattern.reuses += pattern.reuses;
-    snapshot.pattern.drift_reselects += pattern.drift_reselects;
-    snapshot.pattern.drifted_rows += pattern.drifted_rows;
-  }
-  snapshot.prepack.panels = inventory.panels;
-  snapshot.prepack.bytes = inventory.bytes;
-  snapshot.prepack.invalidations = inventory.invalidations;
+  // stats_.prepack holds only the hits/misses deltas, the inventory only
+  // the other three fields.
+  snapshot.prepack += inventory;
   return snapshot;
 }
 
-void ForecastEngine::SamplePatternStats() {
-  if (dyhsl_view_ == nullptr && dhgnn_view_ == nullptr) return;
-  // The caches are thread-local: read this thread's counters outside the
-  // lock, publish the (absolute) sample under it. Snapshot() sums the
-  // latest sample of every thread that ever served through this engine.
-  tensor::TopKPatternCache::Stats sample;
-  if (dyhsl_view_ != nullptr) {
-    sample = dyhsl_view_->dhsl().PatternCacheStats();
-  } else {
-    sample = dhgnn_view_->StructureCacheStats();
-  }
+bool ForecastEngine::ShuttingDown() const {
   std::lock_guard<std::mutex> lock(mu_);
-  pattern_by_thread_[std::this_thread::get_id()] = sample;
+  return stopping_;
 }
 
-Status ForecastEngine::RunGradFree(const std::function<void()>& body) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (stopping_) return Status::InvalidArgument("ForecastEngine is shut down");
-  }
-  const tensor::PrepackCache::Stats pp_before =
+void ForecastEngine::RunGradFree(const std::function<void()>& body) {
+  const tensor::TopKPatternCache::Stats pattern_before =
+      tensor::TopKPatternCache::ThreadCounters();
+  const tensor::PrepackCache::Stats prepack_before =
       tensor::PrepackCache::ThreadCounters();
-  // One warm arena per calling thread, shared by every synchronous entry
-  // point: session threads get the same allocation-free steady state as
-  // engine workers.
+  // One warm arena per serving thread (queue worker or synchronous
+  // caller): after the first few calls every forward runs
+  // allocation-free out of recycled slabs.
   thread_local tensor::Workspace workspace;
   {
-    // Same team size as the worker loop: GEMM is bit-deterministic per
-    // thread count, so the synchronous calls reproduce the queue path
-    // exactly.
+    // One team size for every call: GEMM is bit-deterministic per thread
+    // count, so the synchronous calls reproduce the queue path exactly.
     core::TeamScope team(worker_team_);
     autograd::InferenceModeGuard no_grad;
     tensor::PrepackLookupScope prepack;
@@ -304,16 +291,22 @@ Status ForecastEngine::RunGradFree(const std::function<void()>& body) {
     body();
   }
   workspace.Reset();
-  SamplePatternStats();
-  AccumulatePrepackDelta(pp_before);
-  return Status::OK();
+  // The cache counters are per thread: this call's share is their growth
+  // while it ran, exact even when one thread serves many engines.
+  const tensor::TopKPatternCache::Stats pattern =
+      tensor::TopKPatternCache::ThreadCounters() - pattern_before;
+  const tensor::PrepackCache::Stats prepack =
+      tensor::PrepackCache::ThreadCounters() - prepack_before;
+  std::lock_guard<std::mutex> lock(mu_);
+  stats_.pattern += pattern;
+  stats_.prepack += prepack;
 }
 
-BatchForecastResponse ForecastEngine::ServeSync(
+BatchForecastResponse ForecastEngine::ForecastStack(
     int64_t b, const std::function<tensor::Tensor()>& forward) {
   BatchForecastResponse response;
   const Clock::time_point started = Clock::now();
-  response.status = RunGradFree([&] {
+  RunGradFree([&] {
     const tensor::Tensor p = forward();  // (B, T', N), arena-backed
     DYHSL_CHECK_EQ(p.size(0), b);
     {
@@ -324,9 +317,28 @@ BatchForecastResponse ForecastEngine::ServeSync(
     std::memcpy(response.forecasts.data(), p.data(),
                 static_cast<size_t>(p.numel()) * sizeof(float));
   });
-  if (!response.status.ok()) return response;
   response.batch_size = b;
   response.compute_micros = MicrosSince(started, Clock::now());
+  const int64_t nonfinite = NonFiniteRows(response.forecasts);
+  if (nonfinite > 0) {
+    response.status = Status::Internal(
+        std::to_string(nonfinite) + " of " + std::to_string(b) +
+        " forecasts hold a NaN or infinity");
+    response.forecasts = tensor::Tensor();
+    std::lock_guard<std::mutex> lock(mu_);
+    stats_.nonfinite_forecasts += nonfinite;
+  }
+  return response;
+}
+
+BatchForecastResponse ForecastEngine::ServeSync(
+    int64_t b, const std::function<tensor::Tensor()>& forward) {
+  if (ShuttingDown()) {
+    BatchForecastResponse response;
+    response.status = Status::InvalidArgument("ForecastEngine is shut down");
+    return response;
+  }
+  BatchForecastResponse response = ForecastStack(b, forward);
   std::lock_guard<std::mutex> lock(mu_);
   stats_.requests += b;
   stats_.streamed += b;
@@ -346,6 +358,13 @@ BatchForecastResponse ForecastEngine::ForwardWindows(
         " != expected (B, " + std::to_string(task_.history) + ", " +
         std::to_string(task_.num_nodes) + ", " +
         std::to_string(task_.input_dim) + ")");
+    return response;
+  }
+  if (const int64_t bad = NonFiniteRows(windows); bad > 0) {
+    BatchForecastResponse response;
+    response.status = Status::InvalidArgument(
+        std::to_string(bad) + " of " + std::to_string(windows.size(0)) +
+        " windows hold a NaN or infinity");
     return response;
   }
   // The batch is already packed (possibly sharing ring storage at B = 1):
@@ -391,8 +410,9 @@ ForecastResponse ForecastEngine::ForecastNow(const tensor::Tensor& window) {
   }
   // Reshape shares the window's storage (it may be a live ring view) —
   // the forward only reads it.
-  return Single(ForwardWindows(
-      window.Reshape({1, window.size(0), window.size(1), window.size(2)})));
+  const tensor::Tensor batch =
+      window.Reshape({1, window.size(0), window.size(1), window.size(2)});
+  return Item(ForwardWindows(batch), 0);
 }
 
 BatchForecastResponse ForecastEngine::SubmitBatch(
@@ -416,19 +436,21 @@ void ForecastEngine::ResyncState(train::StreamState* state,
   DYHSL_CHECK(streaming_ != nullptr);
   // A shut-down engine leaves the state as it was: it serves no forecast
   // from it anyway.
-  (void)RunGradFree([&] { streaming_->ResyncState(state, window); });
+  if (ShuttingDown()) return;
+  RunGradFree([&] { streaming_->ResyncState(state, window); });
 }
 
 ForecastResponse ForecastEngine::ForecastFromState(
     const train::StreamState& state) {
-  return Single(DecodeStates({&state}));
+  return Item(DecodeStates({&state}), 0);
 }
 
 void ForecastEngine::AdvanceStateBatch(
     const std::vector<train::StreamState*>& states,
     const tensor::Tensor& frames) {
   DYHSL_CHECK(streaming_ != nullptr);
-  (void)RunGradFree([&] { streaming_->AdvanceStateBatch(states, frames); });
+  if (ShuttingDown()) return;
+  RunGradFree([&] { streaming_->AdvanceStateBatch(states, frames); });
 }
 
 BatchForecastResponse ForecastEngine::ForecastFromStateBatch(
@@ -447,14 +469,6 @@ void ForecastEngine::WorkerLoop() {
       DYHSL_LOG(Warning) << "engine worker pin failed: " << pinned.ToString();
     }
   }
-  // Every kernel this worker runs — GEMM/SpMM via their explicit
-  // num_threads(core::TeamThreads()) clauses, the elementwise ops via
-  // this thread's OpenMP ICV — is scoped to the worker's ThreadBudget
-  // slice for the lifetime of the loop.
-  core::TeamScope team(worker_team_);
-  // The warm per-worker arena: after the first few batches every forward
-  // runs allocation-free out of recycled slabs.
-  tensor::Workspace workspace;
   const auto max_delay = std::chrono::microseconds(options_.max_delay_us);
   while (true) {
     std::vector<Pending> batch;
@@ -533,54 +547,24 @@ void ForecastEngine::WorkerLoop() {
     // More requests may still be waiting (queue longer than max_batch);
     // wake another worker — or ourselves on the next loop iteration.
     cv_.notify_one();
-    const tensor::PrepackCache::Stats pp_before =
-        tensor::PrepackCache::ThreadCounters();
-    {
-      tensor::PrepackLookupScope prepack;
-      tensor::WorkspaceScope scope(&workspace);
-      ServeBatch(&batch);
+    // One forward over the packed windows through the shared core. A
+    // B = 1 flush (the common case for a single-stream client) passes the
+    // request's own window straight through — PackBatch reshapes it in
+    // place; larger flushes pack into the serving thread's arena.
+    std::vector<tensor::Tensor> windows;
+    windows.reserve(batch.size());
+    for (const Pending& pending : batch) windows.push_back(pending.window);
+    const Clock::time_point started = Clock::now();
+    const BatchForecastResponse served =
+        ForecastStack(static_cast<int64_t>(batch.size()), [&] {
+          return model_->Forward(tensor::PackBatch(windows), /*training=*/false)
+              .value();
+        });
+    for (size_t i = 0; i < batch.size(); ++i) {
+      ForecastResponse response = Item(served, static_cast<int64_t>(i));
+      response.queue_micros = MicrosSince(batch[i].enqueued, started);
+      batch[i].promise.set_value(std::move(response));
     }
-    workspace.Reset();
-    SamplePatternStats();
-    AccumulatePrepackDelta(pp_before);
-  }
-}
-
-void ForecastEngine::ServeBatch(std::vector<Pending>* batch) {
-  const int64_t b = static_cast<int64_t>(batch->size());
-  const Clock::time_point started = Clock::now();
-
-  autograd::InferenceModeGuard no_grad;
-  // Pack the windows into one (B, T, N, F) forward. A B = 1 flush (the
-  // common case for a single-stream client) passes the request's own
-  // contiguous window straight through — PackBatch reshapes it in place,
-  // no batch tensor, no memcpy. Larger flushes pack into an arena-backed
-  // buffer recycled by the worker's Reset().
-  std::vector<tensor::Tensor> windows;
-  windows.reserve(static_cast<size_t>(b));
-  for (const Pending& pending : *batch) windows.push_back(pending.window);
-  tensor::Tensor x = tensor::PackBatch(windows);
-  autograd::Variable pred = model_->Forward(x, /*training=*/false);
-  const tensor::Tensor& p = pred.value();  // (B, T', N)
-  DYHSL_CHECK_EQ(p.size(0), b);
-  const int64_t out_numel = p.numel() / b;
-  const Clock::time_point finished = Clock::now();
-  const double compute_micros = MicrosSince(started, finished);
-
-  for (int64_t i = 0; i < b; ++i) {
-    ForecastResponse response;
-    {
-      // Responses outlive this step: keep them off the arena so they
-      // cannot pin a worker slab.
-      tensor::WorkspaceBypass bypass;
-      response.forecast = tensor::Tensor({p.size(1), p.size(2)});
-    }
-    std::memcpy(response.forecast.data(), p.data() + i * out_numel,
-                static_cast<size_t>(out_numel) * sizeof(float));
-    response.batch_size = b;
-    response.queue_micros = MicrosSince((*batch)[i].enqueued, started);
-    response.compute_micros = compute_micros;
-    (*batch)[i].promise.set_value(std::move(response));
   }
 }
 

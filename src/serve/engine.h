@@ -6,12 +6,19 @@
 // checkpoint once, keeps the ForecastTask scaler for de-normalization,
 // and serves Submit() requests from a micro-batching queue. Worker
 // threads collect concurrent requests and flush them as one (B, T, N, F)
-// grad-free forward — tape-less (autograd::InferenceModeGuard) and
-// allocated from a warm per-worker Workspace arena — when either the
-// effective batch target is reached or the oldest request has waited
-// `max_delay_us` microseconds. With `adaptive_batch` the target tracks
-// the observed queue depth, so a shallow queue flushes immediately
-// instead of paying the full delay for batch slots that never fill.
+// grad-free forward when either the effective batch target is reached or
+// the oldest request has waited `max_delay_us` microseconds. With
+// `adaptive_batch` the target tracks the observed queue depth, so a
+// shallow queue flushes immediately instead of paying the full delay for
+// batch slots that never fill.
+//
+// Every forward — a queue flush or a synchronous call (ForecastNow,
+// SubmitBatch, the warm-state calls) — runs through one grad-free core on
+// the serving thread: tape-less (autograd::InferenceModeGuard), with
+// prepacked weights, allocated from one warm Workspace arena per serving
+// thread, and with the forecast stack copied to the heap and checked for
+// NaN/infinity before it is served. Windows holding a NaN or infinity are
+// rejected before they reach a forward.
 //
 // Model forwards are read-only in inference mode, so any number of
 // workers may share the one model; every per-request quantity lives in
@@ -22,10 +29,10 @@
 // top-k CSR patterns in *thread-local* caches (see tensor::TopKPatternCache),
 // so each warm worker reuses the patterns of the requests it served before
 // — per-worker/session reuse with zero cross-worker sharing. The cached
-// patterns are heap-backed shared_ptrs, unaffected by the per-worker
-// Workspace arena resets between flushes.
+// patterns are heap-backed shared_ptrs, unaffected by the arena resets
+// between calls.
 //
-// Threading: each worker scopes its kernels to an OpenMP team of
+// Threading: each serving call scopes its kernels to an OpenMP team of
 // team_size() threads (core::TeamScope), so num_workers engines never
 // multiply into workers x machine-wide teams; with
 // EngineOptions::pin_cores the workers additionally pin to the engine's
@@ -47,10 +54,8 @@
 #include <mutex>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
-#include "src/baselines/gnn_models.h"
 #include "src/core/status.h"
 #include "src/models/dyhsl.h"
 #include "src/tensor/prepack.h"
@@ -84,7 +89,8 @@ struct ForecastRequest {
 };
 
 /// \brief The served forecast plus per-request telemetry. `status` is
-/// checked first: on failure `forecast` is undefined.
+/// checked first: on failure `forecast` is undefined. A queued request's
+/// forecast is a view of its micro-batch's heap-backed stack.
 struct ForecastResponse {
   Status status;
   /// Raw-flow forecast (T', N).
@@ -115,7 +121,7 @@ struct EngineOptions {
   int64_t max_batch = 16;
   /// ... or once the oldest waiting request is this old (microseconds).
   int64_t max_delay_us = 1000;
-  /// Worker threads, each with its own warm Workspace arena.
+  /// Worker threads serving the Submit() queue.
   int64_t num_workers = 1;
   /// Admission control: with `max_queue` > 0, a Submit() arriving while
   /// that many requests are already waiting is rejected immediately with a
@@ -168,16 +174,22 @@ struct EngineStats {
   int64_t batched_submits = 0;
   int64_t batched_requests = 0;
   int64_t batched_max = 0;
-  /// Structure-reuse efficacy, summed over every thread that served
-  /// through this engine: the DyHSL TopKPatternCache counters when the
-  /// model is a pattern-reuse DyHSL, the DHGNN structure-cache counters
-  /// when it is a structure-reuse DHGNN, all zeros otherwise. Reuse is
-  /// observable in serving snapshots, not only in unit tests.
+  /// Forecasts that came out of a forward holding a NaN or infinity and
+  /// were failed with kInternal instead of being served (counted in
+  /// `requests` too).
+  int64_t nonfinite_forecasts = 0;
+  /// Structure-reuse efficacy (monotonic): the structure-cache events of
+  /// this engine's serving calls — DyHSL TopKPatternCache selections for
+  /// a pattern-reuse DyHSL, DHGNN structure-cache events for a
+  /// structure-reuse DHGNN, all zeros otherwise. Each call adds its
+  /// serving thread's tensor::TopKPatternCache::ThreadCounters() growth,
+  /// so every thread that ever served is counted, exactly once.
   tensor::TopKPatternCache::Stats pattern;
   /// Inference-plan (weight prepack) counters for this engine's weights:
   /// `panels`/`bytes` inventory the packed panels currently held (bytes is
   /// ~the engine's 2-D weight bytes once warm), `hits`/`misses` count
-  /// prepacked-operand lookups from this engine's serving calls, and
+  /// prepacked-operand lookups from this engine's serving calls (monotonic,
+  /// the per-call growth of PrepackCache::ThreadCounters()), and
   /// `invalidations` counts checkpoint-reload drops of this engine's
   /// panels. See tensor::PrepackCache.
   tensor::PrepackCache::Stats prepack;
@@ -211,8 +223,10 @@ class ForecastEngine {
   ForecastEngine& operator=(const ForecastEngine&) = delete;
 
   /// \brief Enqueues one window for the next micro-batch. The future is
-  /// always fulfilled — with a failed Status for malformed requests or
-  /// an engine shutting down, never with a broken promise.
+  /// always fulfilled — with a failed Status for malformed requests
+  /// (wrong shape, or a NaN/infinity: kInvalidArgument), an engine
+  /// shutting down, or a non-finite forecast (kInternal), never with a
+  /// broken promise.
   std::future<ForecastResponse> Submit(ForecastRequest request);
 
   /// \brief Synchronous single-window call: SubmitBatch's forward over
@@ -222,6 +236,7 @@ class ForecastEngine {
   /// read. Kernels run under the same worker team size as the queue path,
   /// so the result is bit-identical to a Submit of the same window at
   /// batch 1. Counts in `requests` and `streamed`, never in `batched_*`.
+  /// Fails like Submit on a malformed window or a non-finite forecast.
   /// Thread-safe and usable concurrently with Submit.
   ForecastResponse ForecastNow(const tensor::Tensor& window);
 
@@ -272,8 +287,8 @@ class ForecastEngine {
   train::ForecastModel* mutable_model() { return model_.get(); }
   const EngineOptions& options() const { return options_; }
   /// The resolved per-worker OpenMP team size (EngineOptions::team_size,
-  /// or the auto partition when that was 0). Workers hold a
-  /// core::TeamScope of exactly this size for their whole lifetime;
+  /// or the auto partition when that was 0). Every serving call, queued
+  /// or synchronous, runs under a core::TeamScope of exactly this size;
   /// num_workers * team_size() never exceeds the budget the engine was
   /// created under.
   int team_size() const { return worker_team_; }
@@ -298,18 +313,25 @@ class ForecastEngine {
                  const EngineOptions& options);
 
   void WorkerLoop();
-  /// Runs one packed grad-free forward and fulfills every promise.
-  void ServeBatch(std::vector<Pending>* batch);
-  /// Runs `body` as one synchronous grad-free serving call on the calling
-  /// thread: refused after Shutdown, otherwise under the worker team
-  /// size, tape-less, with prepacked weights and the calling thread's
-  /// warm arena (reset afterwards), then publishes the structure-cache
-  /// and prepack counters. Every synchronous entry point runs through it.
-  Status RunGradFree(const std::function<void()>& body);
-  /// The shared forecast core: runs `forward` (returning the arena-backed
-  /// (B, T', N) stack) through RunGradFree, copies the stack into a
-  /// heap-backed response and counts B `requests` and `streamed`, never
-  /// `batched_*` (the public batched calls add those via CountBatched).
+  /// True once Shutdown has begun. The synchronous entry points refuse
+  /// to serve then; the queue workers do not check it, so Shutdown still
+  /// drains the queue.
+  bool ShuttingDown() const;
+  /// Runs `body` as one grad-free serving call on the calling thread:
+  /// under the worker team size, tape-less, with prepacked weights and
+  /// the calling thread's warm arena (reset afterwards), then adds the
+  /// call's structure-cache and prepack counter growth to stats_. Every
+  /// forward — queue flush or synchronous call — runs through it.
+  void RunGradFree(const std::function<void()>& body);
+  /// The one forecast core: runs `forward` (returning the arena-backed
+  /// (B, T', N) stack) through RunGradFree and copies the stack into a
+  /// heap-backed response. A stack with a non-finite row fails with
+  /// kInternal and counts those rows in `nonfinite_forecasts`.
+  BatchForecastResponse ForecastStack(
+      int64_t b, const std::function<tensor::Tensor()>& forward);
+  /// ForecastStack for a synchronous call: refused after Shutdown,
+  /// otherwise counts B `requests` and `streamed`, never `batched_*` (the
+  /// public batched calls add those via CountBatched).
   BatchForecastResponse ServeSync(
       int64_t b, const std::function<tensor::Tensor()>& forward);
   /// ServeSync over shape-checked (B, T, N, F) windows / carried states.
@@ -318,27 +340,16 @@ class ForecastEngine {
       const std::vector<const train::StreamState*>& states);
   /// Records a served batch in the `batched_*` counters.
   BatchForecastResponse CountBatched(BatchForecastResponse response);
-  /// Publishes the calling thread's structure-cache counters (thread-
-  /// local caches) into pattern_by_thread_ so Snapshot() can sum them.
-  void SamplePatternStats();
   /// Enrolls every 2-D parameter/constant of the model in the process
   /// PrepackCache (called once at Create, after the checkpoint load) and
   /// remembers the pointers for stats attribution and Release.
   void EnrollPrepack();
-  /// Adds this thread's prepack hit/miss growth since `before` (sampled
-  /// at the start of a serving call) into stats_.prepack — exact
-  /// per-engine attribution even when one thread serves many engines.
-  void AccumulatePrepackDelta(const tensor::PrepackCache::Stats& before);
 
   train::ForecastTask task_;
   EngineOptions options_;
   std::unique_ptr<train::ForecastModel> model_;
   /// Set when model_ implements the streaming capability (DCRNN-style).
   const train::RecurrentStreamModel* streaming_ = nullptr;
-  /// Set when model_ is a pattern-reuse DyHSL / structure-reuse DHGNN
-  /// (the models with observable cache counters).
-  const models::DyHsl* dyhsl_view_ = nullptr;
-  const baselines::Dhgnn* dhgnn_view_ = nullptr;
   train::ShardMeta shard_meta_;
   /// Resolved OpenMP team size per worker (see team_size()).
   int worker_team_ = 1;
@@ -352,10 +363,6 @@ class ForecastEngine {
   std::deque<Pending> queue_;
   bool stopping_ = false;
   EngineStats stats_;
-  /// Latest cache counters per serving thread (caches are thread-local;
-  /// snapshots sum across threads). Under mu_.
-  std::unordered_map<std::thread::id, tensor::TopKPatternCache::Stats>
-      pattern_by_thread_;
   /// EWMA of queue depth at flush (adaptive_batch mode), under mu_.
   double depth_ewma_ = 1.0;
   std::vector<std::thread> workers_;

@@ -488,17 +488,11 @@ RouterStats ForecastRouter::Stats() const {
       stats.total.batched_requests += e.stats.batched_requests;
       stats.total.batched_max =
           std::max(stats.total.batched_max, e.stats.batched_max);
-      stats.total.pattern.selects += e.stats.pattern.selects;
-      stats.total.pattern.reuses += e.stats.pattern.reuses;
-      stats.total.pattern.drift_reselects += e.stats.pattern.drift_reselects;
-      stats.total.pattern.drifted_rows += e.stats.pattern.drifted_rows;
+      stats.total.nonfinite_forecasts += e.stats.nonfinite_forecasts;
+      stats.total.pattern += e.stats.pattern;
       // Prepack counters sum cleanly: every engine enrolls its own
       // weights, so no panel or lookup is attributed twice.
-      stats.total.prepack.panels += e.stats.prepack.panels;
-      stats.total.prepack.bytes += e.stats.prepack.bytes;
-      stats.total.prepack.hits += e.stats.prepack.hits;
-      stats.total.prepack.misses += e.stats.prepack.misses;
-      stats.total.prepack.invalidations += e.stats.prepack.invalidations;
+      stats.total.prepack += e.stats.prepack;
       stats.engines.push_back(std::move(e));
     }
   }

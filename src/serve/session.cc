@@ -587,14 +587,8 @@ std::vector<ForecastResponse> SessionManager::ForecastPinned(
 void SessionManager::RecordBatch(const std::string& model,
                                  int64_t batch_size) {
   std::lock_guard<std::mutex> lock(batch_mu_);
-  batch_stats_.batched_forecasts += 1;
-  batch_stats_.batch_size_sum += batch_size;
-  batch_stats_.batch_size_max =
-      std::max(batch_stats_.batch_size_max, batch_size);
-  SessionBatchStats& per_model = batch_by_model_[model];
-  per_model.batched_forecasts += 1;
-  per_model.batch_size_sum += batch_size;
-  per_model.batch_size_max = std::max(per_model.batch_size_max, batch_size);
+  batch_stats_.Record(batch_size);
+  batch_by_model_[model].Record(batch_size);
 }
 
 Status SessionManager::Close(const std::string& session_id) {

@@ -64,6 +64,7 @@
 #ifndef DYHSL_SERVE_SESSION_H_
 #define DYHSL_SERVE_SESSION_H_
 
+#include <algorithm>
 #include <atomic>
 #include <map>
 #include <memory>
@@ -145,6 +146,13 @@ struct SessionBatchStats {
   /// Sessions served across those group forwards.
   int64_t batch_size_sum = 0;
   int64_t batch_size_max = 0;
+
+  /// Counts one group forward over `batch_size` sessions.
+  void Record(int64_t batch_size) {
+    batched_forecasts += 1;
+    batch_size_sum += batch_size;
+    batch_size_max = std::max(batch_size_max, batch_size);
+  }
 };
 
 /// \brief Manager-level counters (monotonic except `open`).

@@ -53,6 +53,24 @@ class PrepackCache {
     int64_t hits = 0;
     int64_t misses = 0;
     int64_t invalidations = 0;
+
+    Stats& operator+=(const Stats& other) {
+      panels += other.panels;
+      bytes += other.bytes;
+      hits += other.hits;
+      misses += other.misses;
+      invalidations += other.invalidations;
+      return *this;
+    }
+    Stats operator-(const Stats& other) const {
+      Stats out = *this;
+      out.panels -= other.panels;
+      out.bytes -= other.bytes;
+      out.hits -= other.hits;
+      out.misses -= other.misses;
+      out.invalidations -= other.invalidations;
+      return out;
+    }
   };
 
   static PrepackCache& Instance();
@@ -89,8 +107,8 @@ class PrepackCache {
   Stats StatsFor(const std::vector<const float*>& ptrs) const;
 
   /// \brief The calling thread's cumulative hit/miss counters (only those
-  /// two fields are set). Monotonic; sample per worker and sum, exactly
-  /// like the TopKPatternCache stats.
+  /// two fields are set). Monotonic; a serving call samples it before and
+  /// after and keeps the difference, like TopKPatternCache::ThreadCounters.
   static Stats ThreadCounters();
 
  private:

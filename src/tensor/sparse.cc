@@ -319,6 +319,23 @@ int64_t CountDriftedRows(const CsrPattern& p, const float* dense) {
   return drifted;
 }
 
+namespace {
+
+TopKPatternCache::Stats& ThreadTally() {
+  static thread_local TopKPatternCache::Stats tally;
+  return tally;
+}
+
+}  // namespace
+
+TopKPatternCache::Stats TopKPatternCache::ThreadCounters() {
+  return ThreadTally();
+}
+
+void TopKPatternCache::CountOnThread(const Stats& event) {
+  ThreadTally() += event;
+}
+
 TopKPatternCache::TopKPatternCache() : TopKPatternCache(Options()) {}
 
 TopKPatternCache::TopKPatternCache(Options options) : options_(options) {
@@ -343,19 +360,21 @@ std::shared_ptr<const CsrPattern> TopKPatternCache::SelectOrReuse(
     entries_.push_back({slot, rows, cols, k, nullptr});
     entry = &entries_.back();
   }
+  Stats event;
   if (entry->pattern != nullptr) {
-    const int64_t drifted = CountDriftedRows(*entry->pattern, data);
-    stats_.drifted_rows += drifted;
-    if (static_cast<float>(drifted) <=
+    event.drifted_rows = CountDriftedRows(*entry->pattern, data);
+    if (static_cast<float>(event.drifted_rows) <=
         options_.drift_threshold * static_cast<float>(rows)) {
-      ++stats_.reuses;
-      return entry->pattern;
+      event.reuses = 1;
+    } else {
+      event.drift_reselects = 1;
     }
-    ++stats_.drift_reselects;
   } else {
-    ++stats_.selects;
+    event.selects = 1;
   }
-  entry->pattern = RowTopKPattern(data, rows, cols, k);
+  stats_ += event;
+  CountOnThread(event);
+  if (event.reuses == 0) entry->pattern = RowTopKPattern(data, rows, cols, k);
   return entry->pattern;
 }
 

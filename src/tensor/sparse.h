@@ -237,6 +237,22 @@ class TopKPatternCache {
     int64_t reuses = 0;           ///< cache hits (drift at or below threshold)
     int64_t drift_reselects = 0;  ///< re-selections forced by drift
     int64_t drifted_rows = 0;     ///< total drifted rows seen on reuse checks
+
+    Stats& operator+=(const Stats& other) {
+      selects += other.selects;
+      reuses += other.reuses;
+      drift_reselects += other.drift_reselects;
+      drifted_rows += other.drifted_rows;
+      return *this;
+    }
+    Stats operator-(const Stats& other) const {
+      Stats out = *this;
+      out.selects -= other.selects;
+      out.reuses -= other.reuses;
+      out.drift_reselects -= other.drift_reselects;
+      out.drifted_rows -= other.drifted_rows;
+      return out;
+    }
   };
 
   TopKPatternCache();
@@ -253,6 +269,15 @@ class TopKPatternCache {
   const Options& options() const { return options_; }
   const Stats& stats() const { return stats_; }
   void Clear();
+
+  /// \brief The calling thread's counters, summed over every structure
+  /// cache that ran on it: each SelectOrReuse, plus every event another
+  /// cache reports through CountOnThread. Monotonic; a serving call
+  /// samples it before and after and keeps the difference.
+  static Stats ThreadCounters();
+  /// \brief Adds one cache event to the calling thread's counters — for
+  /// structure caches built outside this class (DHGNN's hypergraph).
+  static void CountOnThread(const Stats& event);
 
  private:
   struct Entry {

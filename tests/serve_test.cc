@@ -8,6 +8,7 @@
 #include <chrono>
 #include <cstdio>
 #include <future>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -18,6 +19,7 @@
 #include "src/autograd/inference.h"
 #include "src/core/parallel.h"
 #include "src/serve/engine.h"
+#include "src/tensor/ops.h"
 #include "src/train/checkpoint.h"
 #include "src/train/model_zoo.h"
 #include "src/train/trainer.h"
@@ -496,6 +498,78 @@ TEST(ForecastEngineTest, ServesZooModelThroughFactory) {
   EXPECT_TENSOR_EQ(response.forecast, expected);
 }
 
+TEST(ForecastEngineTest, RejectsNonFiniteWindowsOnEveryEntryPoint) {
+  train::ForecastTask task = RingForecastTask(8, 12);
+  auto engine =
+      std::move(ForecastEngine::Create(task, TinyConfig())).ValueOrDie();
+  T::Tensor nan_window = RandomWindow(task, 5);
+  nan_window.data()[7] = std::numeric_limits<float>::quiet_NaN();
+  T::Tensor inf_window = RandomWindow(task, 6);
+  inf_window.data()[inf_window.numel() - 1] =
+      std::numeric_limits<float>::infinity();
+
+  EXPECT_EQ(engine->Submit(ForecastRequest{nan_window}).get().status.code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(engine->Submit(ForecastRequest{inf_window}).get().status.code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(engine->ForecastNow(nan_window).status.code(),
+            StatusCode::kInvalidArgument);
+  // One bad item fails the whole pre-packed batch.
+  T::Tensor batch =
+      T::PackBatch({RandomWindow(task, 7), inf_window, RandomWindow(task, 8)});
+  EXPECT_EQ(engine->SubmitBatch(batch).status.code(),
+            StatusCode::kInvalidArgument);
+  // Rejected windows never reach a forward.
+  EngineStats stats = engine->Snapshot();
+  EXPECT_EQ(stats.requests, 0);
+  EXPECT_EQ(stats.nonfinite_forecasts, 0);
+}
+
+// A model whose every forecast is NaN: stands in for a forward that
+// produces non-finite output from finite input.
+class NanModel : public train::ForecastModel {
+ public:
+  explicit NanModel(train::ForecastTask task) : task_(std::move(task)) {}
+
+  autograd::Variable Forward(const tensor::Tensor& x, bool) override {
+    return autograd::Variable(
+        T::Tensor::Full({x.shape()[0], task_.horizon, task_.num_nodes},
+                        std::numeric_limits<float>::quiet_NaN()));
+  }
+  std::vector<autograd::Variable> Parameters() const override { return {}; }
+  int64_t ParameterCount() const override { return 0; }
+  std::string name() const override { return "NaN"; }
+
+ private:
+  train::ForecastTask task_;
+};
+
+TEST(ForecastEngineTest, NonFiniteForecastFailsWithInternalOnEveryPath) {
+  train::ForecastTask task = RingForecastTask(8, 12);
+  ModelFactory factory = [](const train::ForecastTask& t) {
+    return std::unique_ptr<train::ForecastModel>(new NanModel(t));
+  };
+  auto engine =
+      std::move(ForecastEngine::Create(task, factory)).ValueOrDie();
+  T::Tensor window = RandomWindow(task, 9);
+
+  ForecastResponse queued = engine->Submit(ForecastRequest{window}).get();
+  EXPECT_EQ(queued.status.code(), StatusCode::kInternal);
+  EXPECT_FALSE(queued.forecast.defined());
+  ForecastResponse now = engine->ForecastNow(window);
+  EXPECT_EQ(now.status.code(), StatusCode::kInternal);
+  EXPECT_FALSE(now.forecast.defined());
+  BatchForecastResponse batch =
+      engine->SubmitBatch(T::PackBatch({window, window, window}));
+  EXPECT_EQ(batch.status.code(), StatusCode::kInternal);
+  EXPECT_FALSE(batch.forecasts.defined());
+
+  EngineStats stats = engine->Snapshot();
+  EXPECT_EQ(stats.nonfinite_forecasts, 5);
+  EXPECT_EQ(stats.requests, 5);
+  EXPECT_EQ(stats.batched_submits, 0);
+}
+
 // ------------------------------------------------------ thread budgeting --
 
 // A model whose Forward runs an OpenMP concurrency probe instead of math:
@@ -512,7 +586,7 @@ class ProbeModel : public train::ForecastModel {
                                                /*spin_micros=*/300);
     team_seen_.store(std::max(team_seen_.load(), ran));
     return autograd::Variable(
-        T::Tensor({x.shape()[0], task_.horizon, task_.num_nodes}));
+        T::Tensor::Zeros({x.shape()[0], task_.horizon, task_.num_nodes}));
   }
   std::vector<autograd::Variable> Parameters() const override { return {}; }
   int64_t ParameterCount() const override { return 0; }

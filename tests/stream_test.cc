@@ -9,6 +9,7 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <limits>
 #include <map>
 #include <memory>
 #include <random>
@@ -19,6 +20,7 @@
 #include <gtest/gtest.h>
 
 #include "src/autograd/inference.h"
+#include "src/baselines/gnn_models.h"
 #include "src/data/dataset.h"
 #include "src/data/stream.h"
 #include "src/graph/shard.h"
@@ -685,6 +687,90 @@ TEST(StreamSessionTest, StructureCacheStatsSurfaceThroughEngineAndRouter) {
             2);
   ASSERT_EQ(stats.engines.size(), 1u);
   EXPECT_EQ(stats.engines[0].stats.streamed, stats.total.streamed);
+}
+
+TEST(StreamSessionTest, PatternStatsSurviveServingThreadTurnover) {
+  // Each serving call adds its own structure-cache events to the engine:
+  // a serving thread that exits keeps its count, and a later thread —
+  // which may be handed the dead thread's id — adds to it instead of
+  // replacing it.
+  const data::TrafficDataset& ds = SharedDataset();
+  train::ForecastTask task = train::ForecastTask::FromDataset(ds);
+  train::ZooConfig reuse_cfg = TinyZoo();
+  reuse_cfg.dhgnn_structure_reuse = true;
+  auto engine = std::move(ForecastEngine::Create(
+                              task, ZooFactory("DHGNN", reuse_cfg)))
+                    .ValueOrDie();
+  const T::Tensor window = ds.MakeInput(5);
+  auto serve_on_new_thread = [&](int calls) {
+    std::thread server([&] {
+      for (int i = 0; i < calls; ++i) {
+        EXPECT_TRUE(engine->ForecastNow(window).status.ok());
+      }
+    });
+    server.join();
+  };
+  auto cache_events = [&] {
+    const T::TopKPatternCache::Stats p = engine->Snapshot().pattern;
+    return p.selects + p.reuses + p.drift_reselects;
+  };
+  serve_on_new_thread(3);
+  EXPECT_EQ(cache_events(), 3);
+  serve_on_new_thread(1);
+  EXPECT_EQ(cache_events(), 4);
+  EXPECT_EQ(engine->Snapshot().requests, 4);
+}
+
+TEST(StreamSessionTest, NanFrameInWarmStateFailsForecastFromState) {
+  const data::TrafficDataset& ds = SharedDataset();
+  train::ForecastTask task = train::ForecastTask::FromDataset(ds);
+  auto engine =
+      std::move(ForecastEngine::Create(task, ZooFactory("DCRNN", TinyZoo())))
+          .ValueOrDie();
+  std::unique_ptr<train::StreamState> state = engine->NewStreamState();
+  const T::Tensor window = ds.MakeInput(5);  // (T, N, F)
+  engine->ResyncState(state.get(), window);
+  ASSERT_TRUE(engine->ForecastFromState(*state).status.ok());
+
+  const int64_t frame_numel = task.num_nodes * task.input_dim;
+  T::Tensor frame = window.Alias((task.history - 1) * frame_numel,
+                                 {task.num_nodes, task.input_dim})
+                        .Clone();
+  frame.data()[0] = std::numeric_limits<float>::quiet_NaN();
+  engine->AdvanceState(state.get(), frame);
+  ForecastResponse poisoned = engine->ForecastFromState(*state);
+  EXPECT_EQ(poisoned.status.code(), StatusCode::kInternal);
+  EXPECT_FALSE(poisoned.forecast.defined());
+  EngineStats stats = engine->Snapshot();
+  EXPECT_EQ(stats.nonfinite_forecasts, 1);
+  EXPECT_EQ(stats.requests, 2);
+}
+
+TEST(StreamSessionTest, NonFiniteForecastsSumInRouterTotals) {
+  // A NaN reading advanced into a warm session poisons its carried
+  // state: the forecast fails instead of serving NaN with an OK status,
+  // and the engine's count reaches the router totals.
+  const data::TrafficDataset& ds = SharedDataset();
+  train::ForecastTask task = train::ForecastTask::FromDataset(ds);
+  auto router = std::move(ForecastRouter::Create()).ValueOrDie();
+  ASSERT_TRUE(
+      router->AddModel("dcrnn", task, ZooFactory("DCRNN", TinyZoo())).ok());
+  SessionManager manager(router.get());
+  SessionOptions warm_options;
+  warm_options.warm_state = true;
+  ASSERT_TRUE(manager.Open("s", warm_options).ok());
+  StreamTicks(&manager, "s", 0, task.history);
+  ASSERT_TRUE(manager.Forecast("s").status.ok());
+
+  data::TickStream stream(ds.traffic(), task.history, task.history + 1);
+  T::Tensor frame = stream.Frame().Clone();
+  frame.data()[0] = std::numeric_limits<float>::quiet_NaN();
+  ASSERT_TRUE(manager.Append("s", stream.tick(), frame).ok());
+  EXPECT_EQ(manager.Forecast("s").status.code(), StatusCode::kInternal);
+  RouterStats stats = router->Stats();
+  ASSERT_EQ(stats.engines.size(), 1u);
+  EXPECT_EQ(stats.engines[0].stats.nonfinite_forecasts, 1);
+  EXPECT_EQ(stats.total.nonfinite_forecasts, 1);
 }
 
 TEST(StreamSessionTest, EngineSnapshotCountsStreamedRequests) {
