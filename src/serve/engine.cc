@@ -27,35 +27,19 @@ double MicrosSince(Clock::time_point start, Clock::time_point now) {
 // single spike barely moves the target.
 constexpr double kDepthEwmaWeight = 0.25;
 
-// Item `i` of a batch response as a single-item response: row i of the
-// heap-backed (B, T', N) stack as a zero-copy (T', N) view.
-ForecastResponse Item(const BatchForecastResponse& batch, int64_t i) {
-  ForecastResponse response;
-  response.status = batch.status;
-  if (response.status.ok()) {
-    const int64_t rows = batch.forecasts.size(1);
-    const int64_t cols = batch.forecasts.size(2);
-    response.forecast = batch.forecasts.Alias(i * rows * cols, {rows, cols});
-  }
-  response.batch_size = batch.batch_size;
-  response.compute_micros = batch.compute_micros;
-  return response;
-}
-
-// Rows of the (B, ...) tensor `t` holding any NaN or infinity.
-int64_t NonFiniteRows(const tensor::Tensor& t) {
+// Rows of the (B, ...) tensor `t` holding a NaN or infinity.
+std::vector<bool> NonFiniteRows(const tensor::Tensor& t) {
   const int64_t rows = t.size(0);
   const int64_t row_numel = t.numel() / rows;
-  int64_t bad = 0;
+  std::vector<bool> bad(static_cast<size_t>(rows));
   for (int64_t r = 0; r < rows; ++r) {
-    const float* row = t.data() + r * row_numel;
-    bool finite = true;
-    for (int64_t i = 0; i < row_numel; ++i) {
-      finite &= std::isfinite(row[i]);
-    }
-    bad += finite ? 0 : 1;
+    bad[r] = tensor::HasNonFinite(t.Alias(r * row_numel, {row_numel}));
   }
   return bad;
+}
+
+int64_t CountTrue(const std::vector<bool>& flags) {
+  return std::count(flags.begin(), flags.end(), true);
 }
 
 }  // namespace
@@ -214,7 +198,7 @@ std::future<ForecastResponse> ForecastEngine::Submit(ForecastRequest request) {
     promise.set_value(std::move(response));
     return future;
   }
-  if (NonFiniteRows(request.window) > 0) {
+  if (tensor::HasNonFinite(request.window)) {
     ForecastResponse response;
     response.status =
         Status::InvalidArgument("request window holds a NaN or infinity");
@@ -302,9 +286,10 @@ void ForecastEngine::RunGradFree(const std::function<void()>& body) {
   stats_.prepack += prepack;
 }
 
-BatchForecastResponse ForecastEngine::ForecastStack(
+ForecastEngine::Served ForecastEngine::ForecastStack(
     int64_t b, const std::function<tensor::Tensor()>& forward) {
-  BatchForecastResponse response;
+  Served served;
+  BatchForecastResponse& response = served.batch;
   const Clock::time_point started = Clock::now();
   RunGradFree([&] {
     const tensor::Tensor p = forward();  // (B, T', N), arena-backed
@@ -319,53 +304,49 @@ BatchForecastResponse ForecastEngine::ForecastStack(
   });
   response.batch_size = b;
   response.compute_micros = MicrosSince(started, Clock::now());
-  const int64_t nonfinite = NonFiniteRows(response.forecasts);
-  if (nonfinite > 0) {
-    response.status = Status::Internal(
-        std::to_string(nonfinite) + " of " + std::to_string(b) +
-        " forecasts hold a NaN or infinity");
-    response.forecasts = tensor::Tensor();
+  served.nonfinite = NonFiniteRows(response.forecasts);
+  if (const int64_t bad = CountTrue(served.nonfinite); bad > 0) {
     std::lock_guard<std::mutex> lock(mu_);
-    stats_.nonfinite_forecasts += nonfinite;
+    stats_.nonfinite_forecasts += bad;
   }
-  return response;
+  return served;
 }
 
-BatchForecastResponse ForecastEngine::ServeSync(
+ForecastEngine::Served ForecastEngine::ServeSync(
     int64_t b, const std::function<tensor::Tensor()>& forward) {
   if (ShuttingDown()) {
-    BatchForecastResponse response;
-    response.status = Status::InvalidArgument("ForecastEngine is shut down");
-    return response;
+    Served refused;
+    refused.batch.status =
+        Status::InvalidArgument("ForecastEngine is shut down");
+    return refused;
   }
-  BatchForecastResponse response = ForecastStack(b, forward);
+  Served served = ForecastStack(b, forward);
   std::lock_guard<std::mutex> lock(mu_);
   stats_.requests += b;
   stats_.streamed += b;
-  return response;
+  return served;
 }
 
-BatchForecastResponse ForecastEngine::ForwardWindows(
+ForecastEngine::Served ForecastEngine::ForwardWindows(
     const tensor::Tensor& windows) {
+  Served rejected;
   if (!windows.defined() || windows.dim() != 4 || windows.size(0) < 1 ||
       windows.size(1) != task_.history || windows.size(2) != task_.num_nodes ||
       windows.size(3) != task_.input_dim) {
-    BatchForecastResponse response;
-    response.status = Status::InvalidArgument(
+    rejected.batch.status = Status::InvalidArgument(
         "batch windows shape " +
         (windows.defined() ? tensor::ShapeToString(windows.shape())
                            : std::string("<undefined>")) +
         " != expected (B, " + std::to_string(task_.history) + ", " +
         std::to_string(task_.num_nodes) + ", " +
         std::to_string(task_.input_dim) + ")");
-    return response;
+    return rejected;
   }
-  if (const int64_t bad = NonFiniteRows(windows); bad > 0) {
-    BatchForecastResponse response;
-    response.status = Status::InvalidArgument(
+  if (const int64_t bad = CountTrue(NonFiniteRows(windows)); bad > 0) {
+    rejected.batch.status = Status::InvalidArgument(
         std::to_string(bad) + " of " + std::to_string(windows.size(0)) +
         " windows hold a NaN or infinity");
-    return response;
+    return rejected;
   }
   // The batch is already packed (possibly sharing ring storage at B = 1):
   // one forward, no queue, no per-request repacking.
@@ -374,26 +355,54 @@ BatchForecastResponse ForecastEngine::ForwardWindows(
   });
 }
 
-BatchForecastResponse ForecastEngine::DecodeStates(
+ForecastEngine::Served ForecastEngine::DecodeStates(
     const std::vector<const train::StreamState*>& states) {
   DYHSL_CHECK(streaming_ != nullptr);
   if (states.empty()) {
-    BatchForecastResponse response;
-    response.status = Status::InvalidArgument("empty stream-state batch");
-    return response;
+    Served rejected;
+    rejected.batch.status = Status::InvalidArgument("empty stream-state batch");
+    return rejected;
   }
   return ServeSync(static_cast<int64_t>(states.size()), [&] {
     return streaming_->ForecastFromStateBatch(states);
   });
 }
 
-BatchForecastResponse ForecastEngine::CountBatched(
-    BatchForecastResponse response) {
-  if (response.status.ok()) {
+ForecastEngine::Served ForecastEngine::CountBatched(Served served) {
+  if (served.batch.status.ok()) {
     std::lock_guard<std::mutex> lock(mu_);
     stats_.batched_submits += 1;
-    stats_.batched_requests += response.batch_size;
-    stats_.batched_max = std::max(stats_.batched_max, response.batch_size);
+    stats_.batched_requests += served.batch.batch_size;
+    stats_.batched_max = std::max(stats_.batched_max, served.batch.batch_size);
+  }
+  return served;
+}
+
+ForecastResponse ForecastEngine::Item(const Served& served, int64_t i) {
+  const BatchForecastResponse& batch = served.batch;
+  ForecastResponse response;
+  response.status = batch.status;
+  if (response.status.ok() && served.nonfinite[i]) {
+    response.status = Status::Internal("forecast holds a NaN or infinity");
+  }
+  if (response.status.ok()) {
+    // Row i of the heap-backed (B, T', N) stack as a zero-copy view.
+    const int64_t rows = batch.forecasts.size(1);
+    const int64_t cols = batch.forecasts.size(2);
+    response.forecast = batch.forecasts.Alias(i * rows * cols, {rows, cols});
+  }
+  response.batch_size = batch.batch_size;
+  response.compute_micros = batch.compute_micros;
+  return response;
+}
+
+BatchForecastResponse ForecastEngine::Whole(Served served) {
+  BatchForecastResponse response = std::move(served.batch);
+  if (const int64_t bad = CountTrue(served.nonfinite); bad > 0) {
+    response.status = Status::Internal(
+        std::to_string(bad) + " of " + std::to_string(response.batch_size) +
+        " forecasts hold a NaN or infinity");
+    response.forecasts = tensor::Tensor();
   }
   return response;
 }
@@ -417,7 +426,7 @@ ForecastResponse ForecastEngine::ForecastNow(const tensor::Tensor& window) {
 
 BatchForecastResponse ForecastEngine::SubmitBatch(
     const tensor::Tensor& windows) {
-  return CountBatched(ForwardWindows(windows));
+  return Whole(CountBatched(ForwardWindows(windows)));
 }
 
 std::unique_ptr<train::StreamState> ForecastEngine::NewStreamState() const {
@@ -455,7 +464,7 @@ void ForecastEngine::AdvanceStateBatch(
 
 BatchForecastResponse ForecastEngine::ForecastFromStateBatch(
     const std::vector<const train::StreamState*>& states) {
-  return CountBatched(DecodeStates(states));
+  return Whole(CountBatched(DecodeStates(states)));
 }
 
 void ForecastEngine::WorkerLoop() {
@@ -555,7 +564,7 @@ void ForecastEngine::WorkerLoop() {
     windows.reserve(batch.size());
     for (const Pending& pending : batch) windows.push_back(pending.window);
     const Clock::time_point started = Clock::now();
-    const BatchForecastResponse served =
+    const Served served =
         ForecastStack(static_cast<int64_t>(batch.size()), [&] {
           return model_->Forward(tensor::PackBatch(windows), /*training=*/false)
               .value();

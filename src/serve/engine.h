@@ -17,8 +17,10 @@
 // the serving thread: tape-less (autograd::InferenceModeGuard), with
 // prepacked weights, allocated from one warm Workspace arena per serving
 // thread, and with the forecast stack copied to the heap and checked for
-// NaN/infinity before it is served. Windows holding a NaN or infinity are
-// rejected before they reach a forward.
+// NaN/infinity row by row before it is served: a non-finite row fails
+// only its own request, so batch composition never changes a response.
+// Windows holding a NaN or infinity are rejected before they reach a
+// forward.
 //
 // Model forwards are read-only in inference mode, so any number of
 // workers may share the one model; every per-request quantity lives in
@@ -105,7 +107,8 @@ struct ForecastResponse {
 
 /// \brief Response of the pre-packed batch fast paths (SubmitBatch /
 /// ForecastFromStateBatch): one status and one stacked forecast tensor
-/// for the whole batch. On failure `forecasts` is undefined.
+/// for the whole batch — one bad window or one non-finite forecast row
+/// fails all of it. On failure `forecasts` is undefined.
 struct BatchForecastResponse {
   Status status;
   /// Raw-flow forecasts (B, T', N), heap-backed.
@@ -174,9 +177,10 @@ struct EngineStats {
   int64_t batched_submits = 0;
   int64_t batched_requests = 0;
   int64_t batched_max = 0;
-  /// Forecasts that came out of a forward holding a NaN or infinity and
-  /// were failed with kInternal instead of being served (counted in
-  /// `requests` too).
+  /// Forecast rows that came out of a forward holding a NaN or infinity
+  /// and were failed with kInternal instead of being served (counted in
+  /// `requests` too). Only the bad rows count, even when a SubmitBatch /
+  /// ForecastFromStateBatch caller sees its whole batch fail.
   int64_t nonfinite_forecasts = 0;
   /// Structure-reuse efficacy (monotonic): the structure-cache events of
   /// this engine's serving calls — DyHSL TopKPatternCache selections for
@@ -225,7 +229,8 @@ class ForecastEngine {
   /// \brief Enqueues one window for the next micro-batch. The future is
   /// always fulfilled — with a failed Status for malformed requests
   /// (wrong shape, or a NaN/infinity: kInvalidArgument), an engine
-  /// shutting down, or a non-finite forecast (kInternal), never with a
+  /// shutting down, or a non-finite forecast (kInternal; the requests
+  /// flushed in the same micro-batch are unaffected), never with a
   /// broken promise.
   std::future<ForecastResponse> Submit(ForecastRequest request);
 
@@ -247,8 +252,11 @@ class ForecastEngine {
   /// only read (it may be a zero-copy pack of live ring views). Each
   /// batch item's forecast is bit-identical to ForecastNow over the same
   /// window: the batched kernels process every item with the same
-  /// accumulation order as at B = 1. Thread-safe, usable concurrently
-  /// with Submit/ForecastNow.
+  /// accumulation order as at B = 1. A window holding a NaN or infinity
+  /// (kInvalidArgument) or a non-finite forecast row (kInternal) fails
+  /// the whole batch; SessionManager::ForecastBatch, which answers each
+  /// session on its own, fails only that session. Thread-safe, usable
+  /// concurrently with Submit/ForecastNow.
   BatchForecastResponse SubmitBatch(const tensor::Tensor& windows);
 
   /// \name Warm recurrent-state serving
@@ -302,6 +310,10 @@ class ForecastEngine {
   EngineStats Snapshot() const;
 
  private:
+  /// Batched session forecasts answer each session on its own, so they
+  /// take the per-row cores (ForwardWindows / DecodeStates + Item rows).
+  friend class SessionManager;
+
   struct Pending {
     tensor::Tensor window;
     std::promise<ForecastResponse> promise;
@@ -323,23 +335,35 @@ class ForecastEngine {
   /// call's structure-cache and prepack counter growth to stats_. Every
   /// forward — queue flush or synchronous call — runs through it.
   void RunGradFree(const std::function<void()>& body);
+  /// A served heap-backed (B, T', N) stack (or the failure status) and
+  /// the rows holding a NaN or infinity, judged per row by Item and for
+  /// the whole stack by Whole.
+  struct Served {
+    BatchForecastResponse batch;
+    std::vector<bool> nonfinite;
+  };
+
   /// The one forecast core: runs `forward` (returning the arena-backed
-  /// (B, T', N) stack) through RunGradFree and copies the stack into a
-  /// heap-backed response. A stack with a non-finite row fails with
-  /// kInternal and counts those rows in `nonfinite_forecasts`.
-  BatchForecastResponse ForecastStack(
-      int64_t b, const std::function<tensor::Tensor()>& forward);
+  /// (B, T', N) stack) through RunGradFree, copies the stack to the heap,
+  /// and flags and counts its non-finite rows.
+  Served ForecastStack(int64_t b,
+                       const std::function<tensor::Tensor()>& forward);
   /// ForecastStack for a synchronous call: refused after Shutdown,
   /// otherwise counts B `requests` and `streamed`, never `batched_*` (the
-  /// public batched calls add those via CountBatched).
-  BatchForecastResponse ServeSync(
-      int64_t b, const std::function<tensor::Tensor()>& forward);
-  /// ServeSync over shape-checked (B, T, N, F) windows / carried states.
-  BatchForecastResponse ForwardWindows(const tensor::Tensor& windows);
-  BatchForecastResponse DecodeStates(
-      const std::vector<const train::StreamState*>& states);
-  /// Records a served batch in the `batched_*` counters.
-  BatchForecastResponse CountBatched(BatchForecastResponse response);
+  /// batched calls add those via CountBatched).
+  Served ServeSync(int64_t b,
+                   const std::function<tensor::Tensor()>& forward);
+  /// ServeSync over shape-checked, finite (B, T, N, F) windows / carried
+  /// states.
+  Served ForwardWindows(const tensor::Tensor& windows);
+  Served DecodeStates(const std::vector<const train::StreamState*>& states);
+  /// Records a served batch (bad rows included) in the `batched_*`
+  /// counters.
+  Served CountBatched(Served served);
+  /// Row `i` as a zero-copy (T', N) response; kInternal if non-finite.
+  static ForecastResponse Item(const Served& served, int64_t i);
+  /// The whole stack as one response; kInternal if any row is non-finite.
+  static BatchForecastResponse Whole(Served served);
   /// Enrolls every 2-D parameter/constant of the model in the process
   /// PrepackCache (called once at Create, after the checkpoint load) and
   /// remembers the pointers for stats attribution and Release.

@@ -20,19 +20,6 @@ int64_t NowNs() {
       .count();
 }
 
-// A single-item engine response as a batch of one (a view, no copy).
-BatchForecastResponse AsBatch(ForecastResponse response) {
-  BatchForecastResponse batch;
-  batch.status = std::move(response.status);
-  if (batch.status.ok()) {
-    batch.forecasts = response.forecast.Reshape(
-        {1, response.forecast.size(0), response.forecast.size(1)});
-  }
-  batch.batch_size = response.batch_size;
-  batch.compute_micros = response.compute_micros;
-  return batch;
-}
-
 }  // namespace
 
 /// One open session. `mu` serializes Append against Forecast (a Push
@@ -491,6 +478,20 @@ std::vector<ForecastResponse> SessionManager::ForecastPinned(
       active[i] = false;
       continue;
     }
+    if (!s->options.warm_state) {
+      // A NaN or infinity in one session's window fails that session
+      // alone; the rest of its group still batches.
+      bool bad = false;
+      for (const tensor::RingWindow& ring : s->rings) {
+        bad |= tensor::HasNonFinite(ring.Window());
+      }
+      if (bad) {
+        out[i].status = Status::InvalidArgument(
+            "session window holds a NaN or infinity");
+        active[i] = false;
+        continue;
+      }
+    }
     groups[{s->route.model, s->options.warm_state}].push_back(i);
   }
 
@@ -505,33 +506,37 @@ std::vector<ForecastResponse> SessionManager::ForecastPinned(
       const StreamRoute& route = pinned[idxs[0]]->route;
       const int64_t b = static_cast<int64_t>(idxs.size());
 
-      // One grad-free batched forward per shard engine. A single-session
-      // Forecast takes the engine's B = 1 calls, which leave the engine's
-      // batch counters alone.
-      auto serve_shard = [&](size_t k) -> BatchForecastResponse {
+      // One grad-free batched forward per shard engine, through the
+      // engine's per-row cores: a non-finite forecast row fails only its
+      // own session. A single-session Forecast leaves the engine's batch
+      // counters alone, like the engine's B = 1 calls.
+      auto serve_shard = [&](size_t k) -> ForecastEngine::Served {
         ForecastEngine* engine = route.engines[k];
+        ForecastEngine::Served served;
         if (warm) {
           std::vector<const train::StreamState*> states;
           states.reserve(idxs.size());
           for (size_t i : idxs) states.push_back(pinned[i]->states[k].get());
-          return count_batches
-                     ? engine->ForecastFromStateBatch(states)
-                     : AsBatch(engine->ForecastFromState(*states[0]));
+          served = engine->DecodeStates(states);
+        } else {
+          // Ring windows gather zero-copy: Window() is a live view of
+          // ring storage and a one-member group passes that view through
+          // PackBatch without a copy.
+          std::vector<tensor::Tensor> windows;
+          windows.reserve(idxs.size());
+          for (size_t i : idxs) windows.push_back(pinned[i]->rings[k].Window());
+          served = engine->ForwardWindows(tensor::PackBatch(windows));
         }
-        // Ring windows gather zero-copy: Window() is a live view of ring
-        // storage and a one-member group passes that view through
-        // PackBatch without a copy.
-        std::vector<tensor::Tensor> windows;
-        windows.reserve(idxs.size());
-        for (size_t i : idxs) windows.push_back(pinned[i]->rings[k].Window());
-        return count_batches ? engine->SubmitBatch(tensor::PackBatch(windows))
-                             : AsBatch(engine->ForecastNow(windows[0]));
+        return count_batches ? engine->CountBatched(std::move(served))
+                             : served;
       };
       Status group_status = Status::OK();
-      std::vector<BatchForecastResponse> per_shard(route.engines.size());
+      std::vector<ForecastEngine::Served> per_shard(route.engines.size());
       for (size_t k = 0; k < route.engines.size() && group_status.ok(); ++k) {
         per_shard[k] = serve_shard(k);
-        if (!per_shard[k].status.ok()) group_status = per_shard[k].status;
+        if (!per_shard[k].batch.status.ok()) {
+          group_status = per_shard[k].batch.status;
+        }
       }
       if (!group_status.ok()) {
         // Engine failure fails this group only; other groups still serve.
@@ -542,34 +547,34 @@ std::vector<ForecastResponse> SessionManager::ForecastPinned(
         continue;
       }
       double micros = 0.0;
-      for (const BatchForecastResponse& r : per_shard) {
-        micros += r.compute_micros;
+      for (const ForecastEngine::Served& r : per_shard) {
+        micros += r.batch.compute_micros;
       }
 
-      // Scatter the (B, T', L) shard outputs back into per-session heap
-      // responses, dropping halos.
+      // Scatter the shard rows back into per-session responses: a row
+      // that came out non-finite fails its session alone. Unsharded, the
+      // forecast is the session's zero-copy row of the engine's heap
+      // stack; sharded, the owned columns are stitched into one heap
+      // (T', N) tensor, dropping halos.
       for (size_t j = 0; j < idxs.size(); ++j) {
         const size_t i = idxs[j];
         ForecastResponse& r = out[i];
-        {
+        if (route.sharded) {
           tensor::WorkspaceBypass bypass;
           r.forecast = tensor::Tensor({route.horizon, route.num_nodes});
         }
+        for (size_t k = 0; k < route.engines.size() && r.status.ok(); ++k) {
+          ForecastResponse row =
+              ForecastEngine::Item(per_shard[k], static_cast<int64_t>(j));
+          if (!row.status.ok() || !route.sharded) {
+            r = std::move(row);
+            continue;
+          }
+          graph::StitchOwned((*route.shards)[k], row.forecast, &r.forecast);
+        }
         r.batch_size = b;
         r.compute_micros = micros;
-        for (size_t k = 0; k < route.engines.size(); ++k) {
-          const tensor::Tensor& fc = per_shard[k].forecasts;  // (B, T', L)
-          const int64_t item = fc.numel() / b;
-          const tensor::Tensor slice =
-              fc.Alias(static_cast<int64_t>(j) * item, {fc.size(1), fc.size(2)});
-          if (route.sharded) {
-            graph::StitchOwned((*route.shards)[k], slice, &r.forecast);
-          } else {
-            DYHSL_CHECK(slice.shape() == r.forecast.shape());
-            std::memcpy(r.forecast.data(), slice.data(),
-                        static_cast<size_t>(item) * sizeof(float));
-          }
-        }
+        if (!r.status.ok()) continue;
         pinned[i]->forecasts += 1;
         forecasts_.fetch_add(1, std::memory_order_relaxed);
       }

@@ -228,8 +228,10 @@ class SessionManager {
   /// through zero-copy), runs ONE grad-free batched forward per
   /// (group, shard), and scatters the (T', N) responses back per session.
   /// Responses align with session_ids and are heap-backed. Error
-  /// isolation: an unknown or not-yet-full session fails only itself; an
-  /// engine failure fails only that group's members. Forecasts are
+  /// isolation: an unknown or not-yet-full session, a windowed session
+  /// whose window holds a NaN or infinity (kInvalidArgument) and a
+  /// session whose forecast comes out non-finite (kInternal) fail only
+  /// themselves; an engine failure fails only that group's members. Forecasts are
   /// bit-identical to per-session Forecast for windowed sessions (and
   /// any group of size 1) and match within 1e-5 for batched warm carry.
   /// Duplicate ids are rejected with kInvalidArgument.
@@ -274,7 +276,8 @@ class SessionManager {
   static bool MaybeResyncLocked(Session* s);
   /// ForecastBatch over already-pinned sessions (nullptr = unknown id).
   /// `count_batches` is false only for the one-session Forecast: it then
-  /// serves through the engines' B = 1 calls and records no occupancy.
+  /// leaves the engines' `batched_*` counters alone and records no
+  /// occupancy.
   std::vector<ForecastResponse> ForecastPinned(
       const std::vector<std::string>& session_ids,
       const std::vector<std::shared_ptr<Session>>& pinned, bool count_batches);

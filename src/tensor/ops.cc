@@ -650,6 +650,13 @@ float SumAllScalar(const Tensor& a) {
   return static_cast<float>(acc);
 }
 
+bool HasNonFinite(const Tensor& a) {
+  const float* p = a.data();
+  bool finite = true;
+  for (int64_t i = 0; i < a.numel(); ++i) finite &= std::isfinite(p[i]);
+  return !finite;
+}
+
 float MeanAllScalar(const Tensor& a) {
   DYHSL_CHECK_GT(a.numel(), 0);
   return SumAllScalar(a) / static_cast<float>(a.numel());

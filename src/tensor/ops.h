@@ -142,6 +142,8 @@ void ScatterAddRows(Tensor* dst, const std::vector<int64_t>& indices,
 /// @{
 float SumAllScalar(const Tensor& a);
 float MeanAllScalar(const Tensor& a);
+/// \brief True when some element of `a` is a NaN or infinity.
+bool HasNonFinite(const Tensor& a);
 Tensor Sum(const Tensor& a, int64_t axis, bool keepdims = false);
 Tensor Mean(const Tensor& a, int64_t axis, bool keepdims = false);
 /// @}

@@ -567,7 +567,70 @@ TEST(ForecastEngineTest, NonFiniteForecastFailsWithInternalOnEveryPath) {
   EngineStats stats = engine->Snapshot();
   EXPECT_EQ(stats.nonfinite_forecasts, 5);
   EXPECT_EQ(stats.requests, 5);
-  EXPECT_EQ(stats.batched_submits, 0);
+  // The batch ran its forward, so it counts as served in `batched_*`
+  // just as its rows count in `requests`.
+  EXPECT_EQ(stats.batched_submits, 1);
+}
+
+// A model that forecasts NaN for every window whose first value is
+// kPoison (a finite reading) and zeros for every other window.
+class PoisonRowModel : public train::ForecastModel {
+ public:
+  static constexpr float kPoison = 1e30f;
+
+  explicit PoisonRowModel(train::ForecastTask task) : task_(std::move(task)) {}
+
+  autograd::Variable Forward(const tensor::Tensor& x, bool) override {
+    const int64_t b = x.shape()[0];
+    T::Tensor out = T::Tensor::Zeros({b, task_.horizon, task_.num_nodes});
+    const int64_t in_item = x.numel() / b;
+    const int64_t out_item = out.numel() / b;
+    for (int64_t i = 0; i < b; ++i) {
+      if (x.data()[i * in_item] != kPoison) continue;
+      std::fill(out.data() + i * out_item, out.data() + (i + 1) * out_item,
+                std::numeric_limits<float>::quiet_NaN());
+    }
+    return autograd::Variable(out);
+  }
+  std::vector<autograd::Variable> Parameters() const override { return {}; }
+  int64_t ParameterCount() const override { return 0; }
+  std::string name() const override { return "PoisonRow"; }
+
+ private:
+  train::ForecastTask task_;
+};
+
+TEST(ForecastEngineTest, NonFiniteRowFailsOnlyItsOwnQueuedRequest) {
+  // Two queued requests flushed as one micro-batch: the one whose
+  // forecast comes out NaN fails with kInternal, its batch peer is
+  // served, and only the bad row is counted.
+  train::ForecastTask task = RingForecastTask(8, 12);
+  ModelFactory factory = [](const train::ForecastTask& t) {
+    return std::unique_ptr<train::ForecastModel>(new PoisonRowModel(t));
+  };
+  EngineOptions options;
+  options.max_batch = 2;
+  options.max_delay_us = 10 * 1000 * 1000;  // flush only when both wait
+  auto engine =
+      std::move(ForecastEngine::Create(task, factory, "", options))
+          .ValueOrDie();
+  T::Tensor poisoned = RandomWindow(task, 10);
+  poisoned.data()[0] = PoisonRowModel::kPoison;
+  std::future<ForecastResponse> bad = engine->Submit(ForecastRequest{poisoned});
+  std::future<ForecastResponse> good =
+      engine->Submit(ForecastRequest{RandomWindow(task, 11)});
+
+  ForecastResponse bad_response = bad.get();
+  ForecastResponse good_response = good.get();
+  EXPECT_EQ(bad_response.status.code(), StatusCode::kInternal);
+  EXPECT_FALSE(bad_response.forecast.defined());
+  ASSERT_TRUE(good_response.status.ok()) << good_response.status.ToString();
+  EXPECT_EQ(good_response.batch_size, 2);
+  EXPECT_TENSOR_EQ(good_response.forecast,
+                   T::Tensor::Zeros({task.horizon, task.num_nodes}));
+  EngineStats stats = engine->Snapshot();
+  EXPECT_EQ(stats.batches, 1);
+  EXPECT_EQ(stats.nonfinite_forecasts, 1);
 }
 
 // ------------------------------------------------------ thread budgeting --

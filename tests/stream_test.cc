@@ -773,6 +773,79 @@ TEST(StreamSessionTest, NonFiniteForecastsSumInRouterTotals) {
   EXPECT_EQ(stats.total.nonfinite_forecasts, 1);
 }
 
+TEST(StreamSessionTest, PoisonedWarmSessionFailsAloneInForecastBatch) {
+  // Two warm sessions share one batched decode; a NaN reading poisons
+  // one carried state. Only that session's row fails — its batch peer is
+  // still served — and only that row is counted.
+  const data::TrafficDataset& ds = SharedDataset();
+  train::ForecastTask task = train::ForecastTask::FromDataset(ds);
+  auto router = std::move(ForecastRouter::Create()).ValueOrDie();
+  ASSERT_TRUE(
+      router->AddModel("dcrnn", task, ZooFactory("DCRNN", TinyZoo())).ok());
+  SessionManager manager(router.get());
+  SessionOptions warm_options;
+  warm_options.warm_state = true;
+  for (const std::string id : {"bad", "good"}) {
+    ASSERT_TRUE(manager.Open(id, warm_options).ok());
+    StreamTicks(&manager, id, 0, task.history);
+  }
+
+  data::TickStream stream(ds.traffic(), task.history, task.history + 1);
+  T::Tensor nan_frame = stream.Frame().Clone();
+  nan_frame.data()[0] = std::numeric_limits<float>::quiet_NaN();
+  ASSERT_TRUE(manager.Append("bad", stream.tick(), nan_frame).ok());
+  ASSERT_TRUE(manager.Append("good", stream.tick(), stream.Frame()).ok());
+
+  std::vector<ForecastResponse> out = manager.ForecastBatch({"bad", "good"});
+  ASSERT_EQ(out.size(), 2u);
+  EXPECT_EQ(out[0].status.code(), StatusCode::kInternal);
+  EXPECT_FALSE(out[0].forecast.defined());
+  ASSERT_TRUE(out[1].status.ok()) << out[1].status.ToString();
+  EXPECT_EQ(out[1].batch_size, 2);
+  EXPECT_FALSE(T::HasNonFinite(out[1].forecast));
+  EXPECT_TENSOR_NEAR(out[1].forecast, manager.Forecast("good").forecast,
+                     1e-5);
+  RouterStats stats = router->Stats();
+  EXPECT_EQ(stats.total.nonfinite_forecasts, 1);
+  EXPECT_EQ(stats.total.batched_submits, 1);
+}
+
+TEST(StreamSessionTest, NanWindowFailsOnlyItsSessionInForecastBatch) {
+  // A NaN reading in one windowed session's ring leaves that session out
+  // of the batch (kInvalidArgument); its peers are served bit-identically
+  // to their own single-session forecasts.
+  const data::TrafficDataset& ds = SharedDataset();
+  train::ForecastTask task = train::ForecastTask::FromDataset(ds);
+  auto router = std::move(ForecastRouter::Create()).ValueOrDie();
+  ASSERT_TRUE(
+      router->AddModel("dcrnn", task, ZooFactory("DCRNN", TinyZoo())).ok());
+  SessionManager manager(router.get());
+  for (const std::string id : {"a", "bad", "c"}) {
+    ASSERT_TRUE(manager.Open(id).ok());
+    StreamTicks(&manager, id, 0, task.history);
+  }
+  data::TickStream stream(ds.traffic(), task.history, task.history + 1);
+  T::Tensor nan_frame = stream.Frame().Clone();
+  nan_frame.data()[1] = std::numeric_limits<float>::quiet_NaN();
+  ASSERT_TRUE(manager.Append("bad", stream.tick(), nan_frame).ok());
+  for (const std::string id : {"a", "c"}) {
+    ASSERT_TRUE(manager.Append(id, stream.tick(), stream.Frame()).ok());
+  }
+
+  std::vector<ForecastResponse> out = manager.ForecastBatch({"a", "bad", "c"});
+  ASSERT_EQ(out.size(), 3u);
+  EXPECT_EQ(out[1].status.code(), StatusCode::kInvalidArgument);
+  for (size_t i : {0u, 2u}) {
+    ASSERT_TRUE(out[i].status.ok()) << out[i].status.ToString();
+    EXPECT_EQ(out[i].batch_size, 2);
+  }
+  EXPECT_TENSOR_EQ(out[0].forecast, manager.Forecast("a").forecast);
+  EXPECT_TENSOR_EQ(out[2].forecast, manager.Forecast("c").forecast);
+  EXPECT_EQ(manager.Forecast("bad").status.code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(router->Stats().total.nonfinite_forecasts, 0);
+}
+
 TEST(StreamSessionTest, EngineSnapshotCountsStreamedRequests) {
   train::ForecastTask task = train::RingForecastTask(8, 12);
   auto engine =
